@@ -26,6 +26,8 @@ from typing import Optional
 
 import numpy as np
 
+from .model import constraint_margins
+
 __all__ = [
     "SocpInstance",
     "SocpSolution",
@@ -35,6 +37,9 @@ __all__ = [
     "solve_bb",
     "update_u",
 ]
+
+
+KKT_TOL = 1e-8  # stationarity residual a returned solution must reach
 
 
 class InfeasibleSubproblem(Exception):
@@ -47,24 +52,25 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class SocpInstance:
-    """Baseband subproblem data with only the active (positive) thresholds.
+    """Baseband subproblem data; only active (positive) thresholds get a cone.
 
-    h_eff[k] is the effective channel rf^H h of active user k, so the
-    cross gains t[m, n] = h_eff[m]^H f_n are linear in the baseband columns.
-    h_eff_all keeps every user's effective channel (interference sources
-    include users whose own SINR constraint was dropped).
+    h_eff_all[m] is the effective channel h_m^H rf of user m, so the cross
+    gains t[m, n] = h_eff_all[m] f_n are linear in the baseband columns.
+    It keeps every user's effective channel (interference sources include
+    users whose own SINR constraint was dropped).
     """
 
     rf: np.ndarray            # (N_t, N_rf) fixed mixing stage
+    h: np.ndarray             # (M, N_t) user channels
     h_eff_all: np.ndarray     # (M, N_rf)
     target: np.ndarray        # (N_t, M) sensing target rf-stage output should match
-    gamma: np.ndarray         # (K,) positive thresholds of active users
+    gamma: np.ndarray         # (M,) thresholds; zero marks a dropped constraint
     active: np.ndarray        # (K,) active user indices
     p_max: float
     noise: float
 
     def __post_init__(self):
-        if np.any(self.gamma <= 0):
+        if np.any(self.gamma[self.active] <= 0):
             raise ValueError("active thresholds must be positive")
         if self.p_max <= 0 or self.noise <= 0:
             raise ValueError("power budget and noise must be positive")
@@ -75,7 +81,6 @@ class SocpSolution:
     f_bb: np.ndarray
     objective: float
     kkt_residual: float
-    sinr_margin: float        # min over active users of gamma_achieved/gamma - 1
 
 
 def make_socp_instance(rf, h, target, gammas, p_max, noise) -> SocpInstance:
@@ -86,9 +91,10 @@ def make_socp_instance(rf, h, target, gammas, p_max, noise) -> SocpInstance:
     active = np.flatnonzero(gammas > 0)
     return SocpInstance(
         rf=rf,
+        h=h,
         h_eff_all=h.conj() @ rf,   # row m is h_m^H rf
         target=np.asarray(target, dtype=np.complex128),
-        gamma=gammas[active],
+        gamma=gammas,
         active=active,
         p_max=float(p_max),
         noise=float(noise),
@@ -230,37 +236,20 @@ def _build_cone_rows(inst: SocpInstance, n_rf: int, m_users: int, phases: np.nda
             j_rows[2 * nn + 1, :n // 2] = cvec.imag
             j_rows[2 * nn + 1, n // 2:] = cvec.real
             if nn == m:
-                scale = np.sqrt(1.0 + 1.0 / inst.gamma[k])
+                scale = np.sqrt(1.0 + 1.0 / inst.gamma[m])
                 c_row = scale * (np.cos(phases[k]) * j_rows[2 * nn]
                                  + np.sin(phases[k]) * j_rows[2 * nn + 1])
         cones.append((j_rows, y0, c_row))
     return cones
 
 
-def _gains(inst: SocpInstance, f_bb: np.ndarray) -> np.ndarray:
-    """t[m, n] = h_m^H rf f_n for every user."""
-    return inst.h_eff_all @ f_bb
-
-
-def _sinr_margin(inst: SocpInstance, f_bb: np.ndarray) -> float:
-    if inst.active.size == 0:
-        return np.inf
-    powers = np.abs(_gains(inst, f_bb)) ** 2
-    worst = np.inf
-    for k, m in enumerate(inst.active):
-        interference = powers[m].sum() - powers[m, m]
-        achieved = powers[m, m] / (interference + inst.noise)
-        worst = min(worst, achieved / inst.gamma[k] - 1.0)
-    return worst
-
-
 def _alignment_phases(inst: SocpInstance, f_bb: np.ndarray) -> np.ndarray:
     """Per-active-user phase of the diagonal gain at this precoder."""
-    gains = _gains(inst, f_bb)
+    gains = inst.h_eff_all @ f_bb  # t[m, n] = h_m^H rf f_n
     return np.array([float(np.angle(gains[m, m])) for m in inst.active])
 
 
-def solve_bb(inst: SocpInstance, tol: float = 1e-8) -> SocpSolution:
+def solve_bb(inst: SocpInstance) -> SocpSolution:
     """Minimize the sensing mismatch subject to SINR cones and a power ball.
 
     The cone program is solved at a fixed rim rotation per user; because the
@@ -270,7 +259,7 @@ def solve_bb(inst: SocpInstance, tol: float = 1e-8) -> SocpSolution:
     objective is monotone under this alternation).
 
     Raises InfeasibleSubproblem when the slack-minimization phase certifies
-    an empty interior, SolverError if Newton stalls above the residual goal.
+    an empty interior, SolverError if Newton stalls above KKT_TOL.
     """
     n_tx, n_rf = inst.rf.shape
     m_users = inst.target.shape[1]
@@ -286,7 +275,7 @@ def solve_bb(inst: SocpInstance, tol: float = 1e-8) -> SocpSolution:
 
     f_ls = _unlift(x_ls, n_rf, m_users)
     phases = _alignment_phases(inst, f_ls)
-    best = _solve_fixed_phases(inst, phases, p_quad, q_lin, p_ball, x_ls, tol)
+    best = _solve_fixed_phases(inst, phases, p_quad, q_lin, p_ball, x_ls)
     for _ in range(4):
         new_phases = _alignment_phases(inst, best.f_bb)
         delta = np.angle(np.exp(1j * (new_phases - phases)))
@@ -294,7 +283,7 @@ def solve_bb(inst: SocpInstance, tol: float = 1e-8) -> SocpSolution:
             break  # rim rotation already aligned with the solution
         phases = new_phases
         try:
-            retry = _solve_fixed_phases(inst, phases, p_quad, q_lin, p_ball, x_ls, tol)
+            retry = _solve_fixed_phases(inst, phases, p_quad, q_lin, p_ball, x_ls)
         except SolverError:
             break  # keep the certified incumbent
         if retry.objective < best.objective * (1.0 - 1e-12):
@@ -304,7 +293,7 @@ def solve_bb(inst: SocpInstance, tol: float = 1e-8) -> SocpSolution:
     return best
 
 
-def _solve_fixed_phases(inst, phases, p_quad, q_lin, p_ball, x_ls, tol) -> SocpSolution:
+def _solve_fixed_phases(inst, phases, p_quad, q_lin, p_ball, x_ls) -> SocpSolution:
     n_rf = inst.rf.shape[1]
     m_users = inst.target.shape[1]
     n = 2 * n_rf * m_users
@@ -323,27 +312,28 @@ def _solve_fixed_phases(inst, phases, p_quad, q_lin, p_ball, x_ls, tol) -> SocpS
                 "no baseband precoder meets the SINR cones within the power budget"
             )
 
-    kappa_target = max(1e8, (len(cones) + 1) / max(tol, 1e-300))
+    kappa_target = max(1e8, (len(cones) + 1) / KKT_TOL)
     x_opt, kappa = prog.follow_path(x0, kappa0=1.0, kappa_target=kappa_target)
     x_opt, kkt_residual = _kkt_refine(prog, x_opt, kappa)
-    if kkt_residual > tol:
+    if kkt_residual > KKT_TOL:
         # push deeper along the central path, then polish again
         x_opt, kappa = prog.follow_path(x_opt, kappa, kappa * 1e4, tol=1e-14,
                                         factor=10.0)
         x_opt, kkt_residual = _kkt_refine(prog, x_opt, kappa)
-    if kkt_residual > tol:
-        raise SolverError(f"stationarity residual {kkt_residual:.3e} above {tol:.1e}")
+    if kkt_residual > KKT_TOL:
+        raise SolverError(f"stationarity residual {kkt_residual:.3e} above {KKT_TOL:.1e}")
 
     f_bb = _unlift(x_opt, n_rf, m_users)
-    margin = _sinr_margin(inst, f_bb)
-    if margin < -1e-6:
-        raise SolverError(f"returned point violates an SINR cone by {margin:.3e}")
-    power = float(np.linalg.norm(inst.rf @ f_bb) ** 2)
-    if power > inst.p_max * (1.0 + 1e-8):
-        raise SolverError(f"returned point exceeds the power budget: {power:.6g}")
-    objective = float(np.linalg.norm(inst.rf @ f_bb - inst.target) ** 2)
-    return SocpSolution(f_bb=f_bb, objective=objective,
-                        kkt_residual=kkt_residual, sinr_margin=margin)
+    eff = inst.rf @ f_bb
+    shortfall, power_excess = constraint_margins(eff, inst.h, inst.gamma,
+                                                 inst.noise, inst.p_max)
+    worst = np.max(shortfall, initial=-np.inf)
+    if worst > 1e-6:
+        raise SolverError(f"returned point misses an SINR threshold by {worst:.3e} (relative)")
+    if power_excess > 1e-8:
+        raise SolverError(f"returned point exceeds the power budget by {power_excess:.3e} (relative)")
+    objective = float(np.linalg.norm(eff - inst.target) ** 2)
+    return SocpSolution(f_bb=f_bb, objective=objective, kkt_residual=kkt_residual)
 
 
 def _constraint_terms(prog: _BarrierProgram, x: np.ndarray):

@@ -2,9 +2,10 @@
 
 Holds the full system description (array, users, targets, power, noise,
 frame budget, reliability targets) and the metrics every solver and
-experiment is judged by: per-user SINR, the short-packet achievable rate
-with its dispersion penalty, the radar beamforming error against an ideal
-steering precoder, and transmit beampatterns.
+experiment is judged by: per-user SINR, the SINR/power constraint margins
+every solver layer checks feasibility with, the short-packet achievable
+rate with its dispersion penalty, the radar beamforming error against an
+ideal steering precoder, and transmit beampatterns.
 
 Rates are handled in nats throughout; conversion to bits happens only at
 the reporting boundary.
@@ -12,7 +13,7 @@ the reporting boundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -26,6 +27,8 @@ __all__ = [
     "RadarSpec",
     "ideal_radar_precoder",
     "sinr",
+    "effective_sinr",
+    "constraint_margins",
     "dispersion",
     "shannon_rate",
     "fbl_rate",
@@ -72,8 +75,9 @@ class SystemConfig:
             )
         if len(self.eps) != self.n_cu or len(self.eta) != self.n_cu:
             raise ValueError("eps and eta must have one entry per user")
-        if any(not 0 < e < 1 for e in self.eps):
-            raise ValueError("error probabilities must lie in (0, 1)")
+        # the SINR-threshold inversion needs Q^{-1}(eps) > 0
+        if any(not 0 < e < 0.5 for e in self.eps):
+            raise ValueError("error probabilities must lie in (0, 1/2)")
         # eta entries in (0, 1]; a single-user scenario forces eta = 1
         if any(not 0 < v <= 1 for v in self.eta):
             raise ValueError("rate fractions must lie in (0, 1]")
@@ -114,23 +118,6 @@ class HybridPrecoder:
     def transmit_power(self) -> float:
         return float(np.linalg.norm(self.effective()) ** 2)
 
-    def validate(self, p_max: float, unit_modulus: bool = True) -> None:
-        """Raise if any structural invariant is violated.
-
-        unit_modulus=False admits fully-digital precoders, where f_rf is an
-        arbitrary fixed mixing matrix rather than a phase-shifter bank.
-        """
-        if unit_modulus:
-            if np.max(np.abs(np.abs(self.f_rf) - 1.0)) > 1e-10:
-                raise ValueError("RF precoder entries must have unit modulus")
-        gram = self.u @ self.u.conj().T
-        if np.max(np.abs(gram - np.eye(self.u.shape[0]))) > 1e-10:
-            raise ValueError("auxiliary matrix rows must be orthonormal")
-        if self.transmit_power() > p_max + 1e-8:
-            raise ValueError(
-                f"transmit power {self.transmit_power():.6g} exceeds budget {p_max:.6g}"
-            )
-
 
 @dataclass(frozen=True)
 class RadarSpec:
@@ -165,13 +152,37 @@ def ideal_radar_precoder(angles_deg: Sequence[float], geom: ArrayGeometry,
     return RadarSpec(f_r=f_r, target_angles_deg=angles)
 
 
-def sinr(ch: ChannelSet, pc: HybridPrecoder, noise: float) -> np.ndarray:
-    """Per-user SINR of the composite precoder."""
-    t = ch.h.conj() @ pc.effective()  # t[m, n] = h_m^H F f_n
+def effective_sinr(eff: np.ndarray, h: np.ndarray, noise: float) -> np.ndarray:
+    """Per-user SINR of the composite precoder eff = F_rf F_bb, shape (N_t, M)."""
+    t = h.conj() @ eff  # t[m, n] = h_m^H F f_n
     powers = np.abs(t) ** 2
     signal = np.diag(powers)
     interference = powers.sum(axis=1) - signal
     return signal / (interference + noise)
+
+
+def sinr(ch: ChannelSet, pc: HybridPrecoder, noise: float) -> np.ndarray:
+    """Per-user SINR of a hybrid precoder."""
+    return effective_sinr(pc.effective(), ch.h, noise)
+
+
+def constraint_margins(eff: np.ndarray, h: np.ndarray, gamma: np.ndarray,
+                       noise: float, p_max: float):
+    """(relative SINR shortfall per active user, relative power excess).
+
+    The shortfall 1 - SINR_m/Gamma_m covers the users with a positive
+    threshold (a zero threshold marks a dropped constraint); the power
+    excess is ||eff||_F^2 / P_max - 1. Both are feasible iff <= 0. Unlike a
+    noise-normalized residual, this scale-free measure does not blow up
+    when interference dwarfs the noise, so every solver layer judges
+    feasibility with it.
+    """
+    power_excess = float(np.real(np.vdot(eff, eff))) / p_max - 1.0
+    active = np.flatnonzero(gamma > 0)
+    if active.size == 0:
+        return np.zeros(0), power_excess
+    achieved = effective_sinr(eff, h, noise)[active]
+    return 1.0 - achieved / gamma[active], power_excess
 
 
 def dispersion(gamma: float):

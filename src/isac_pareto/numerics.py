@@ -2,7 +2,8 @@
 
 These are the shared numerical primitives: the inverse Gaussian Q-function
 used by the short-packet rate model, a bracketed bisection root finder, the
-unit-modulus phase projection used by both RF precoder solvers, and a
+unit-modulus phase projection used by both RF precoder solvers (exact, plus
+a one-pass variant for interior probe points), and a
 counter-based random generator that gives every Monte-Carlo trial its own
 reproducible stream.
 """
@@ -22,6 +23,7 @@ __all__ = [
     "q_function",
     "bracketed_root",
     "phase_project",
+    "fast_unit",
 ]
 
 _SQRT2 = math.sqrt(2.0)
@@ -201,3 +203,11 @@ def phase_project(v) -> np.ndarray:
         out[pick] = result[pick]
         done |= pick
     return out
+
+
+def fast_unit(v: np.ndarray) -> np.ndarray:
+    """One-pass circle normalization for interior probe points (line-search
+    and dual-bisection probes); points a solver returns go through
+    phase_project for the exact-projection contract."""
+    v = np.where(v == 0, 1.0 + 0.0j, v)
+    return v / np.abs(v)

@@ -2,15 +2,16 @@
 
 With the baseband stage, auxiliary matrix, channels, and SINR thresholds
 fixed, the RF subproblem's objective and constraints are quadratics in
-d = vec(F_rf). The Kronecker-structured matrices are kept implicit: hot
-paths evaluate everything through the (N_t x N_RF) factors in
-O(N_t * N_RF * M), while dense matrices are materialized on demand for
-verification against entrywise oracles.
+d = vec(F_rf). The Kronecker-structured matrices are kept implicit:
+everything is evaluated through the (N_t x N_RF) factors in
+O(N_t * N_RF * M).
 
-Constraint residuals are also exposed in normalized form (SINR constraints
-in units of the noise power, the power constraint in units of the budget)
-because the raw wattage scale spans ten orders of magnitude and would
-otherwise starve penalty and multiplier updates of precision.
+Feasibility is judged by the scale-free margins of
+`model.constraint_margins`. The penalty and majorization solvers instead
+work with residuals in normalized form (SINR constraints in units of the
+noise power, the power constraint in units of the budget) because the raw
+wattage scale spans ten orders of magnitude and would otherwise starve
+penalty and multiplier updates of precision.
 """
 
 from __future__ import annotations
@@ -20,15 +21,9 @@ from typing import Sequence
 import numpy as np
 
 from .channel import ChannelSet
-from .model import RadarSpec
+from .model import RadarSpec, constraint_margins
 
-__all__ = [
-    "QuadraticForms",
-    "build_quadratics",
-    "eval_objective",
-    "eval_sinr_constraint",
-    "eval_power_constraint",
-]
+__all__ = ["QuadraticForms", "build_quadratics"]
 
 
 class QuadraticForms:
@@ -66,7 +61,6 @@ class QuadraticForms:
         col_power = np.sum(np.abs(self.f_bb) ** 2, axis=0)  # ||f_n||^2
         h_power = np.sum(np.abs(self.h) ** 2, axis=1)       # ||h_m||^2
         self.c_m = h_power * (col_power.sum() - col_power)  # tr(sum_{n!=m} Upsilon)
-        self._dense_cache = {}
 
     # ----- vec / mat conventions (column stacking) -----
 
@@ -78,67 +72,15 @@ class QuadraticForms:
 
     # ----- factored evaluation (hot paths) -----
 
-    def cross_gains(self, d: np.ndarray) -> np.ndarray:
-        """t[m, n] = h_m^H F_rf f_n for the precoder encoded by d."""
-        f_rf = self.mat(d)
-        return (self.h.conj() @ f_rf) @ self.f_bb
-
     def objective(self, d: np.ndarray) -> float:
         """RBE as a function of d; nonnegative by construction."""
         diff = self.mat(d) @ self.f_bb - self.f_r_u
         return float(np.real(np.vdot(diff, diff)))
 
-    def sinr_constraint(self, d: np.ndarray, m: int) -> float:
-        """Raw g_m(d): interference - signal/Gamma_m + noise, feasible iff <= 0."""
-        if not 0 <= m < self.m_users:
-            raise IndexError(f"user index {m} out of range")
-        if self.gamma[m] <= 0:
-            raise ValueError(f"SINR constraint for user {m} was dropped (zero threshold)")
-        t = self.h[m].conj() @ self.mat(d) @ self.f_bb
-        powers = np.abs(t) ** 2
-        interference = powers.sum() - powers[m]
-        return float(interference - powers[m] / self.gamma[m] + self.noise)
-
-    def power_constraint(self, d: np.ndarray) -> float:
-        """Raw transmit-power excess ||F_rf F_bb||_F^2 - P_max, feasible iff <= 0."""
-        f_rf = self.mat(d)
-        return float(np.linalg.norm(f_rf @ self.f_bb) ** 2 - self.p_max)
-
-    def sinr_residuals(self, d: np.ndarray) -> np.ndarray:
-        """Active-constraint residuals g_m(d)/noise (dimensionless)."""
-        if self.active.size == 0:
-            return np.zeros(0)
-        t = self.cross_gains(d)
-        powers = np.abs(t) ** 2
-        totals = powers.sum(axis=1)
-        out = np.empty(self.active.size)
-        for k, m in enumerate(self.active):
-            interference = totals[m] - powers[m, m]
-            out[k] = (interference - powers[m, m] / self.gamma[m] + self.noise) / self.noise
-        return out
-
-    def power_residual(self, d: np.ndarray) -> float:
-        """Power excess in units of the budget."""
-        return self.power_constraint(d) / self.p_max
-
     def constraint_margins(self, d: np.ndarray):
-        """(relative SINR shortfall per active user, relative power excess).
-
-        The shortfall 1 - gamma_achieved/gamma_required is the
-        scale-free feasibility measure: unlike the noise-normalized
-        residual it does not blow up when interference dwarfs the noise.
-        """
-        eff = self.mat(d) @ self.f_bb
-        power_excess = float(np.real(np.vdot(eff, eff))) / self.p_max - 1.0
-        if self.active.size == 0:
-            return np.zeros(0), power_excess
-        t = self.h.conj() @ eff
-        powers = np.abs(t) ** 2
-        totals = powers.sum(axis=1)
-        sig = powers[self.active, self.active]
-        interference = totals[self.active] - sig
-        achieved = sig / (interference + self.noise)
-        return 1.0 - achieved / self.gamma[self.active], power_excess
+        """`model.constraint_margins` of the precoder encoded by d."""
+        return constraint_margins(self.mat(d) @ self.f_bb, self.h, self.gamma,
+                                  self.noise, self.p_max)
 
     def probe_eval(self, d: np.ndarray):
         """(objective, normalized SINR residuals, normalized power residual)
@@ -174,43 +116,6 @@ class QuadraticForms:
         row = (self.f_bb.conj() * (weights * t)).sum(axis=1)  # (N_RF,)
         return self.vec(np.outer(self.h[m], row))
 
-    # ----- dense matrices (verification surfaces) -----
-
-    def upsilon(self, n: int, m: int) -> np.ndarray:
-        """Dense B_n^T kron H_m."""
-        b_n = np.outer(self.f_bb[:, n], self.f_bb[:, n].conj())
-        h_m = np.outer(self.h[m], self.h[m].conj())
-        return np.kron(b_n.T, h_m)
-
-    def xi_r(self) -> np.ndarray:
-        """Dense Xi_r = Omega_r^H Omega_r = T^T kron I."""
-        if "xi" not in self._dense_cache:
-            self._dense_cache["xi"] = np.kron(self.t_gram.T, np.eye(self.n_tx))
-        return self._dense_cache["xi"]
-
-    def omega_p(self) -> np.ndarray:
-        """Dense Omega_p = T^T kron I."""
-        return self.xi_r()
-
-    def delta(self, m: int) -> np.ndarray:
-        """Dense Delta_m = sum_{n != m} Upsilon_{n,m} - Upsilon_{m,m}/Gamma_m."""
-        if self.gamma[m] <= 0:
-            raise ValueError(f"SINR constraint for user {m} was dropped (zero threshold)")
-        key = ("delta", m)
-        if key not in self._dense_cache:
-            acc = np.zeros((self.d_dim, self.d_dim), dtype=np.complex128)
-            for n in range(self.m_users):
-                if n == m:
-                    continue
-                acc += self.upsilon(n, m)
-            acc -= self.upsilon(m, m) / self.gamma[m]
-            self._dense_cache[key] = acc
-        return self._dense_cache[key]
-
-    def omega_r_matrix(self) -> np.ndarray:
-        """Dense Omega_r = F_bb^T kron I, the linear map d -> vec(F_rf F_bb)."""
-        return np.kron(self.f_bb.T, np.eye(self.n_tx))
-
 
 def build_quadratics(
     f_bb: np.ndarray,
@@ -224,15 +129,3 @@ def build_quadratics(
     """Assemble the RF-subproblem forms for fixed baseband and auxiliary stages."""
     return QuadraticForms(f_bb=f_bb, u=u, h=ch.h, f_r=rs.f_r, gamma=gammas,
                           noise=noise, p_max=p_max)
-
-
-def eval_objective(q: QuadraticForms, d: np.ndarray) -> float:
-    return q.objective(d)
-
-
-def eval_sinr_constraint(q: QuadraticForms, d: np.ndarray, m: int) -> float:
-    return q.sinr_constraint(d, m)
-
-
-def eval_power_constraint(q: QuadraticForms, d: np.ndarray) -> float:
-    return q.power_constraint(d)

@@ -20,7 +20,7 @@ from typing import List
 
 import numpy as np
 
-from .numerics import phase_project
+from .numerics import fast_unit, phase_project
 from .quadratics import QuadraticForms
 
 __all__ = [
@@ -38,6 +38,11 @@ __all__ = [
 MAX_DUAL_SWEEPS = 50
 MAX_BRACKET_DOUBLINGS = 64
 MAX_BISECT_STEPS = 200
+# surrogate-constraint window of the dual bisection, feasibility gate on the
+# iterates (relative constraint margins), and relative objective change that
+# ends the outer loop
+TOL = 1e-6
+MAX_ITER = 500
 
 
 class InfeasibleStart(ValueError):
@@ -140,19 +145,6 @@ def majorize(q: QuadraticForms, d_anchor: np.ndarray) -> MajorizerSet:
                         u_g=u_g, k_g=k_g, u_p=u_p, k_p=k_p)
 
 
-def primal_step(q: QuadraticForms, d_anchor: np.ndarray, duals: DualState) -> np.ndarray:
-    """Closed-form minimizer of the surrogate Lagrangian on the circle manifold."""
-    ms = majorize(q, d_anchor)
-    return _primal_from(ms, duals.lam, duals.vartheta)
-
-
-def _fast_unit(v: np.ndarray) -> np.ndarray:
-    """Single-pass unit normalization for interior probe points; returned
-    iterates go through phase_project for the exact-projection contract."""
-    v = np.where(v == 0, 1.0 + 0.0j, v)
-    return v / np.abs(v)
-
-
 def _combined(ms: MajorizerSet, lam: np.ndarray, vartheta: float) -> np.ndarray:
     v = ms.u_obj + ms.u_p * vartheta
     if lam.size:
@@ -160,12 +152,13 @@ def _combined(ms: MajorizerSet, lam: np.ndarray, vartheta: float) -> np.ndarray:
     return v
 
 
-def _primal_from(ms: MajorizerSet, lam: np.ndarray, vartheta: float) -> np.ndarray:
-    return phase_project(-_combined(ms, lam, vartheta))
+def primal_step(ms: MajorizerSet, duals: DualState) -> np.ndarray:
+    """Closed-form minimizer of the surrogate Lagrangian on the circle manifold."""
+    return phase_project(-_combined(ms, duals.lam, duals.vartheta))
 
 
 def _lagrangian_at_minimizer(ms: MajorizerSet, lam: np.ndarray, vartheta: float) -> float:
-    d = _fast_unit(-_combined(ms, lam, vartheta))
+    d = fast_unit(-_combined(ms, lam, vartheta))
     value = ms.surrogate_objective(d) + vartheta * ms.surrogate_power(d)
     for k in range(lam.size):
         value += lam[k] * ms.surrogate_sinr(d, k)
@@ -206,23 +199,13 @@ def _solve_multiplier(constraint_at, tol: float) -> float:
     return upper  # feasible side if the tolerance window was never hit
 
 
-def dual_bisection(
-    q: QuadraticForms,
-    d_anchor: np.ndarray,
-    duals_in: DualState,
-    tol: float = 1e-6,
-) -> DualState:
+def dual_bisection(ms: MajorizerSet, duals_in: DualState) -> DualState:
     """Coordinate ascent on the surrogate dual: each multiplier is either
-    slack (set to zero) or bisected until its constraint sits in (-tol, 0].
+    slack (set to zero) or bisected until its constraint sits in (-TOL, 0].
 
     Sweeps repeat until the Lagrangian value at the primal minimizer is
-    stable to relative tolerance tol, with a hard cap of 50 sweeps.
+    stable to relative tolerance TOL, with a hard cap of 50 sweeps.
     """
-    ms = majorize(q, d_anchor)
-    return _dual_bisection_on(ms, duals_in, tol)
-
-
-def _dual_bisection_on(ms: MajorizerSet, duals_in: DualState, tol: float) -> DualState:
     lam = duals_in.lam.copy()
     vth = duals_in.vartheta
     trace: List[float] = []
@@ -237,22 +220,22 @@ def _dual_bisection_on(ms: MajorizerSet, duals_in: DualState, tol: float) -> Dua
             k_k = ms.k_g[k]
 
             def sinr_at(x):
-                d = _fast_unit(-(v_base + x * u_k))
+                d = fast_unit(-(v_base + x * u_k))
                 return 2.0 * float(np.real(np.vdot(u_k, d))) + k_k
 
-            lam[k] = _solve_multiplier(sinr_at, tol)
+            lam[k] = _solve_multiplier(sinr_at, TOL)
 
         v_base = _combined(ms, lam, 0.0)
         u_p, k_p = ms.u_p, ms.k_p
 
         def power_at(x):
-            d = _fast_unit(-(v_base + x * u_p))
+            d = fast_unit(-(v_base + x * u_p))
             return 2.0 * float(np.real(np.vdot(u_p, d))) + k_p
 
-        vth = _solve_multiplier(power_at, tol)
+        vth = _solve_multiplier(power_at, TOL)
         value = _lagrangian_at_minimizer(ms, lam, vth)
         trace.append(value)
-        if len(trace) >= 2 and abs(trace[-1] - trace[-2]) <= tol * max(abs(trace[-1]), 1e-30):
+        if len(trace) >= 2 and abs(trace[-1] - trace[-2]) <= TOL * max(abs(trace[-1]), 1e-30):
             break
     return DualState(lam=lam, vartheta=vth, lagrangian_trace=trace)
 
@@ -260,19 +243,10 @@ def _dual_bisection_on(ms: MajorizerSet, duals_in: DualState, tol: float) -> Dua
 def _worst_violation(q: QuadraticForms, d: np.ndarray) -> float:
     """Worst relative constraint violation (SINR shortfall or power excess)."""
     shortfall, power_excess = q.constraint_margins(d)
-    worst = power_excess
-    if shortfall.size:
-        worst = max(worst, float(shortfall.max()))
-    return worst
+    return float(np.max(shortfall, initial=power_excess))
 
 
-def bmm_solve(
-    q: QuadraticForms,
-    d_init: np.ndarray,
-    tol_inner: float = 1e-6,
-    tol_outer: float = 1e-6,
-    max_iter: int = 500,
-) -> BmmResult:
+def bmm_solve(q: QuadraticForms, d_init: np.ndarray, max_iter: int = MAX_ITER) -> BmmResult:
     """Full majorize / dual-bisect / phase-project loop from a feasible start.
 
     Iterates keep the original problem feasible (surrogate feasibility
@@ -281,10 +255,10 @@ def bmm_solve(
     nonincreasing by construction.
     """
     d = _require_unit_modulus(d_init, "starting point")
-    if _worst_violation(q, d) > tol_inner:
+    if _worst_violation(q, d) > TOL:
         raise InfeasibleStart(
             f"starting point violates constraints by {_worst_violation(q, d):.3e} "
-            "(normalized)"
+            "(relative)"
         )
     duals = DualState.zeros(q.active.size)
     trace = [q.objective(d)]
@@ -292,16 +266,16 @@ def bmm_solve(
     iterations = 0
     for iterations in range(1, max_iter + 1):
         ms = majorize(q, d)
-        duals = _dual_bisection_on(ms, duals, tol_inner)
-        candidate = _primal_from(ms, duals.lam, duals.vartheta)
+        duals = dual_bisection(ms, duals)
+        candidate = primal_step(ms, duals)
         cand_obj = q.objective(candidate)
-        if cand_obj > trace[-1] or _worst_violation(q, candidate) > tol_inner:
+        if cand_obj > trace[-1] or _worst_violation(q, candidate) > TOL:
             converged = True  # stalled at numerical resolution
             break
         d = candidate
         trace.append(cand_obj)
         denom = max(abs(trace[-1]), 1e-30)
-        if abs(trace[-1] - trace[-2]) / denom <= tol_outer:
+        if abs(trace[-1] - trace[-2]) / denom <= TOL:
             converged = True
             break
     return BmmResult(d=d, objective_trace=trace, duals=duals,

@@ -23,7 +23,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .numerics import phase_project
+from .numerics import fast_unit, phase_project
 from .quadratics import QuadraticForms
 
 __all__ = [
@@ -39,31 +39,34 @@ __all__ = [
 ]
 
 
+# stationarity tolerances on the squared Riemannian gradient norm: the
+# accepted round is polished to TOL_GRAD, interim rounds of the escalation
+# ramp stop at TOL_GRAD_COARSE
+TOL_GRAD = 1e-8
+TOL_GRAD_COARSE = 1e-5
+# Armijo backtracking: initial step, contraction per backtrack, sufficient
+# decrease constant, and the backtrack cap
+ARMIJO_STEP = 1.0
+ARMIJO_CONTRACTION = 0.5
+ARMIJO_SIGMA = 1e-4
+ARMIJO_MAX_BACKTRACKS = 40
+
+
 @dataclass(frozen=True)
 class PenaltyConfig:
-    """Penalty schedule and line-search knobs for the manifold solver."""
+    """Penalty schedule and iteration caps of the manifold solver."""
 
     mu0: float = 10.0
     c: float = 0.5                 # growth divisor: mu <- mu / c per round
-    tol_grad: float = 1e-8         # on the squared Riemannian gradient norm
     tol_violation: float = 1e-8    # on the summed squared hinges
-    tol_grad_coarse: float = 1e-5  # interim rounds of the escalation ramp
     max_outer: int = 12
     max_inner: int = 400
-    armijo_step: float = 1.0
-    armijo_contraction: float = 0.5
-    armijo_sigma: float = 1e-4
-    armijo_max_backtracks: int = 40
 
     def __post_init__(self):
         if self.mu0 <= 1.0:
             raise ValueError("initial penalty factor must exceed 1")
         if not 0.0 < self.c < 1.0:
             raise ValueError("contraction constant must lie in (0, 1)")
-        if not 0.0 < self.armijo_contraction < 1.0:
-            raise ValueError("Armijo contraction must lie in (0, 1)")
-        if not 0.0 < self.armijo_sigma < 1.0:
-            raise ValueError("Armijo sufficient-decrease must lie in (0, 1)")
 
 
 @dataclass
@@ -73,7 +76,6 @@ class EpmoResult:
     violation: float
     trace: List[dict] = field(default_factory=list)
     outer_rounds: int = 0
-    final_mu: float = 0.0
 
 
 def constraint_violation(q: QuadraticForms, d: np.ndarray) -> float:
@@ -145,62 +147,49 @@ def epmo_solve(
     q: QuadraticForms,
     d_init: np.ndarray,
     pcfg: Optional[PenaltyConfig] = None,
-    mu_init: Optional[float] = None,
 ) -> EpmoResult:
     """Penalty-escalation loop around the Riemannian CG inner solver.
 
     The start need not be feasible; the penalty pulls iterates toward the
     constraint set. Returns an infeasibility report (feasible=False with the
-    residual violation) if the escalation budget runs out. mu_init overrides
-    the schedule's starting weight, letting callers that solve a stream of
-    related subproblems skip the escalation ramp.
+    residual violation) if the escalation budget runs out.
     """
     pcfg = pcfg or PenaltyConfig()
     d = phase_project(np.asarray(d_init, dtype=np.complex128))
-    mu = mu_init if mu_init is not None else pcfg.mu0
+    mu = pcfg.mu0
     trace: List[dict] = []
     rounds = 0
 
     # interim escalation rounds only need a coarse stationary point: the
     # weight is about to change anyway; the accepted round gets the full
     # gradient polish before the feasibility verdict
-    coarse = max(pcfg.tol_grad, pcfg.tol_grad_coarse)
     prev_violation = np.inf
     for rounds in range(1, pcfg.max_outer + 1):
-        d = _rcg_minimize(q, d, mu, pcfg, trace, tol_grad=coarse)
+        d = _rcg_minimize(q, d, mu, pcfg.max_inner, trace, TOL_GRAD_COARSE)
         violation = constraint_violation(q, d)
         if violation <= pcfg.tol_violation:
-            if coarse > pcfg.tol_grad:
-                d = _rcg_minimize(q, d, mu, pcfg, trace, tol_grad=pcfg.tol_grad)
-                violation = constraint_violation(q, d)
+            d = _rcg_minimize(q, d, mu, pcfg.max_inner, trace, TOL_GRAD)
+            violation = constraint_violation(q, d)
             if violation <= pcfg.tol_violation:
                 return EpmoResult(d=d, feasible=True, violation=violation,
-                                  trace=trace, outer_rounds=rounds, final_mu=mu)
+                                  trace=trace, outer_rounds=rounds)
         if rounds >= 3 and violation >= 0.9 * prev_violation:
             break  # escalation stopped shrinking the violation: unattainable
         prev_violation = violation
         mu = mu / pcfg.c
     return EpmoResult(d=d, feasible=False, violation=constraint_violation(q, d),
-                      trace=trace, outer_rounds=rounds, final_mu=mu)
+                      trace=trace, outer_rounds=rounds)
 
 
-def _fast_unit(v: np.ndarray) -> np.ndarray:
-    """One-pass circle normalization for line-search probes; accepted points
-    are re-projected exactly."""
-    v = np.where(v == 0, 1.0 + 0.0j, v)
-    return v / np.abs(v)
-
-
-def _rcg_minimize(q, d, mu, pcfg: PenaltyConfig, trace: List[dict],
-                  tol_grad: Optional[float] = None) -> np.ndarray:
-    tol_grad = pcfg.tol_grad if tol_grad is None else tol_grad
+def _rcg_minimize(q, d, mu, max_inner: int, trace: List[dict],
+                  tol_grad: float) -> np.ndarray:
     f_val = penalty_objective(q, d, mu)
     grad = riemannian_gradient(d, euclidean_gradient(q, d, mu))
     gsq = _grad_norm_sq(grad)
     direction = -grad
-    step_seed = pcfg.armijo_step
+    step_seed = ARMIJO_STEP
 
-    for it in range(pcfg.max_inner):
+    for it in range(max_inner):
         if gsq <= tol_grad:
             break
         slope = float(np.real(np.vdot(grad, direction)))
@@ -210,20 +199,20 @@ def _rcg_minimize(q, d, mu, pcfg: PenaltyConfig, trace: List[dict],
         step = step_seed
         accepted = False
         backtracks = 0
-        for backtracks in range(pcfg.armijo_max_backtracks):
-            probe = _fast_unit(d + step * direction)
+        for backtracks in range(ARMIJO_MAX_BACKTRACKS):
+            probe = fast_unit(d + step * direction)
             f_new = penalty_objective(q, probe, mu)
-            if f_new <= f_val + pcfg.armijo_sigma * step * slope:
+            if f_new <= f_val + ARMIJO_SIGMA * step * slope:
                 accepted = True
                 break
-            step *= pcfg.armijo_contraction
+            step *= ARMIJO_CONTRACTION
         if not accepted:
             break  # stationary to line-search resolution
         # remember the accepted scale: start the next search just above it
         if backtracks == 0:
-            step_seed = min(pcfg.armijo_step, step / pcfg.armijo_contraction)
+            step_seed = min(ARMIJO_STEP, step / ARMIJO_CONTRACTION)
         else:
-            step_seed = min(pcfg.armijo_step, step / pcfg.armijo_contraction ** 2)
+            step_seed = min(ARMIJO_STEP, step / ARMIJO_CONTRACTION ** 2)
 
         candidate = retract(d, step, direction)
         f_new = penalty_objective(q, candidate, mu)
@@ -238,6 +227,5 @@ def _rcg_minimize(q, d, mu, pcfg: PenaltyConfig, trace: List[dict],
             "objective": f_val,
             "grad_norm_sq": gsq,
             "mu": mu,
-            "violation": constraint_violation(q, d),
         })
     return d

@@ -39,12 +39,14 @@ from .model import (
     HybridPrecoder,
     RadarSpec,
     SystemConfig,
+    constraint_margins,
     fbl_rate,
     rbe,
     sinr,
 )
 from .numerics import Rng, phase_project
 from .quadratics import QuadraticForms, build_quadratics
+from .rf_bmm import TOL as BMM_TOL
 from .rf_bmm import DualDivergence, InfeasibleStart, bmm_solve
 from .rf_epmo import PenaltyConfig, epmo_solve
 
@@ -77,18 +79,13 @@ class SolveOptions:
     tol_bcd: float = 1e-4        # inner relative RBE tolerance
     tol_rate: float = 0.01       # outer bracket width, nats
     max_bcd: int = 50
-    rate_upper_init: Optional[float] = None
     seed: int = 0
-    bmm_tol_inner: float = 1e-6
-    bmm_tol_outer: float = 1e-6
-    bmm_max_iter: int = 500
     # faster escalation than the module default: inside the coordinate
     # descent each RF subproblem is re-solved many times, so a steep ramp
     # with an early coarse phase wins without hurting the converged point
     epmo: PenaltyConfig = field(
         default_factory=lambda: PenaltyConfig(c=0.1, max_outer=8)
     )
-    bb_tol: float = 1e-8
 
     def __post_init__(self):
         if self.rf_method not in RF_METHODS:
@@ -184,33 +181,30 @@ def _gamma_thresholds(cfg: SystemConfig, rate: float, betas: np.ndarray,
     return gammas
 
 
-def _is_feasible(q: QuadraticForms, d: np.ndarray) -> bool:
-    shortfall, power_excess = q.constraint_margins(d)
-    worst = max(power_excess, shortfall.max() if shortfall.size else -np.inf)
-    return worst <= FEAS_SLACK
+def _is_feasible(margins) -> bool:
+    """Whether (SINR shortfalls, power excess) all sit within FEAS_SLACK."""
+    shortfall, power_excess = margins
+    return np.max(shortfall, initial=power_excess) <= FEAS_SLACK
 
 
 def _rf_step(q: QuadraticForms, d_start: np.ndarray, opts: SolveOptions):
     """One RF-precoder update; returns the new d or None on infeasibility."""
     if opts.rf_method == "bmm":
         d_feas = d_start
-        if not _is_feasible(q, d_feas):
+        if not _is_feasible(q.constraint_margins(d_feas)):
             # the handoff must clear the majorization solver's feasibility
             # gate, so the repair is asked for a squared-hinge sum whose
             # per-constraint residuals sit safely inside it
             repair_cfg = dc_replace(
                 opts.epmo,
-                tol_violation=min(opts.epmo.tol_violation,
-                                  (0.5 * opts.bmm_tol_inner) ** 2),
+                tol_violation=min(opts.epmo.tol_violation, (0.5 * BMM_TOL) ** 2),
             )
             repair = epmo_solve(q, d_feas, repair_cfg)
             if not repair.feasible:
                 return None
             d_feas = repair.d
         try:
-            result = bmm_solve(q, d_feas, tol_inner=opts.bmm_tol_inner,
-                               tol_outer=opts.bmm_tol_outer,
-                               max_iter=opts.bmm_max_iter)
+            result = bmm_solve(q, d_feas)
         except (InfeasibleStart, DualDivergence):
             return None
         return result.d
@@ -253,8 +247,9 @@ def inner_bcd(
     # entry repair: a start that violates the SINR thresholds would send the
     # RF stage on a doomed penalty ramp; the cone solver restores (or
     # refutes) baseband feasibility for the incoming RF stage much faster
-    if not _precoder_feasible(f_rf, f_bb, ch, gammas, cfg):
-        repaired = _bb_step(f_rf, f_bb, u, ch, rs, gammas, cfg, opts)
+    if not _is_feasible(constraint_margins(f_rf @ f_bb, ch.h, gammas,
+                                           cfg.noise, cfg.p_max)):
+        repaired = _bb_step(f_rf, f_bb, u, ch, rs, gammas, cfg)
         if repaired is not None:
             f_bb = repaired
 
@@ -266,7 +261,7 @@ def inner_bcd(
             if d_new is None and iteration == 0:
                 # last resort at entry: baseband repair again (the RF ladder
                 # may have been asked for an unreachable threshold)
-                rescued = _bb_step(f_rf, f_bb, u, ch, rs, gammas, cfg, opts)
+                rescued = _bb_step(f_rf, f_bb, u, ch, rs, gammas, cfg)
                 if rescued is None:
                     return InnerResult(False, None, np.inf, trace,
                                        "RF and baseband stages both infeasible")
@@ -276,11 +271,11 @@ def inner_bcd(
                 d_new = _rf_step(q, d, opts)
             if d_new is None:
                 return InnerResult(False, None, np.inf, trace, "RF stage infeasible")
-            incoming_ok = _is_feasible(q, d)
+            incoming_ok = _is_feasible(q.constraint_margins(d))
             if not incoming_ok or q.objective(d_new) <= q.objective(d):
                 f_rf = q.mat(d_new)
 
-        new_bb = _bb_step(f_rf, f_bb, u, ch, rs, gammas, cfg, opts)
+        new_bb = _bb_step(f_rf, f_bb, u, ch, rs, gammas, cfg)
         if new_bb is None:
             return InnerResult(False, None, np.inf, trace, "baseband stage infeasible")
         f_bb = new_bb
@@ -298,29 +293,18 @@ def inner_bcd(
     return InnerResult(True, pc, trace[-1] if trace else np.inf, trace)
 
 
-def _bb_step(f_rf, f_bb, u, ch, rs, gammas, cfg, opts):
+def _bb_step(f_rf, f_bb, u, ch, rs, gammas, cfg):
     """Cone-program baseband update with monotone acceptance."""
     inst = make_socp_instance(f_rf, ch.h, rs.f_r @ u, gammas, cfg.p_max, cfg.noise)
     try:
-        sol = solve_bb(inst, tol=opts.bb_tol)
+        sol = solve_bb(inst)
     except InfeasibleSubproblem:
         return None
     current = float(np.linalg.norm(f_rf @ f_bb - rs.f_r @ u) ** 2)
-    if sol.objective <= current or not _precoder_feasible(f_rf, f_bb, ch, gammas, cfg):
+    if sol.objective <= current or not _is_feasible(
+            constraint_margins(f_rf @ f_bb, ch.h, gammas, cfg.noise, cfg.p_max)):
         return sol.f_bb
     return f_bb
-
-
-def _precoder_feasible(f_rf, f_bb, ch, gammas, cfg) -> bool:
-    eff = f_rf @ f_bb
-    if np.linalg.norm(eff) ** 2 > cfg.p_max * (1.0 + FEAS_SLACK):
-        return False
-    t = ch.h.conj() @ eff
-    powers = np.abs(t) ** 2
-    signal = np.diag(powers)
-    gam = signal / (powers.sum(axis=1) - signal + cfg.noise)
-    active = gammas > 0
-    return bool(np.all(gam[active] >= gammas[active] * (1.0 - FEAS_SLACK)))
 
 
 def _even_split(frame: int, m: int) -> np.ndarray:
@@ -372,7 +356,8 @@ def tlbs_solve(
     init = init_precoder(cfg, ch, rs, rng, opts.rf_method)
 
     rate_low = 0.0
-    rate_high = opts.rate_upper_init or rate_upper_bound(cfg, ch)
+    rate_upper_init = rate_upper_bound(cfg, ch)
+    rate_high = rate_upper_init
     incumbent_beta = _even_split(cfg.frame_budget, cfg.n_cu)
     best = None
     best_rate = 0.0
@@ -405,7 +390,7 @@ def tlbs_solve(
             feasible=False, rate_nats=0.0, rate_bits=0.0, rbe=np.inf,
             precoder=None, beta=None, scheme=scheme, outer_trace=outer_trace,
             bisection_iterations=n_iter,
-            rate_upper_init=opts.rate_upper_init or rate_upper_bound(cfg, ch),
+            rate_upper_init=rate_upper_init,
         )
     pc, betas, inner_res = best
     return ParetoPoint(
@@ -419,7 +404,7 @@ def tlbs_solve(
         outer_trace=outer_trace,
         inner_trace=inner_res.trace,
         bisection_iterations=n_iter,
-        rate_upper_init=opts.rate_upper_init or rate_upper_bound(cfg, ch),
+        rate_upper_init=rate_upper_init,
     )
 
 

@@ -100,6 +100,39 @@ def sinr_loop(h: np.ndarray, f_rf: np.ndarray, f_bb: np.ndarray, noise: float) -
     return out
 
 
+def upsilon(q, n: int, m: int) -> np.ndarray:
+    """Dense Upsilon_{n,m} = B_n^T kron H_m of a QuadraticForms bundle."""
+    b_n = np.outer(q.f_bb[:, n], q.f_bb[:, n].conj())
+    h_m = np.outer(q.h[m], q.h[m].conj())
+    return np.kron(b_n.T, h_m)
+
+
+def xi_r(q) -> np.ndarray:
+    """Dense Xi_r = Omega_r^H Omega_r = T^T kron I."""
+    return np.kron(q.t_gram.T, np.eye(q.n_tx))
+
+
+def omega_p(q) -> np.ndarray:
+    """Dense Omega_p = T^T kron I (the power form coincides with Xi_r)."""
+    return xi_r(q)
+
+
+def delta(q, m: int) -> np.ndarray:
+    """Dense Delta_m = sum_{n != m} Upsilon_{n,m} - Upsilon_{m,m}/Gamma_m."""
+    if q.gamma[m] <= 0:
+        raise ValueError(f"SINR constraint for user {m} was dropped (zero threshold)")
+    acc = np.zeros((q.d_dim, q.d_dim), dtype=np.complex128)
+    for n in range(q.m_users):
+        if n != m:
+            acc += upsilon(q, n, m)
+    return acc - upsilon(q, m, m) / q.gamma[m]
+
+
+def omega_r_matrix(q) -> np.ndarray:
+    """Dense Omega_r = F_bb^T kron I, the linear map d -> vec(F_rf F_bb)."""
+    return np.kron(q.f_bb.T, np.eye(q.n_tx))
+
+
 def frobenius_loop(a: np.ndarray) -> float:
     """Squared Frobenius norm as an explicit entrywise sum."""
     total = 0.0

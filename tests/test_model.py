@@ -6,6 +6,7 @@ from isac_pareto.model import (
     HybridPrecoder,
     SystemConfig,
     beampattern,
+    constraint_margins,
     desired_beampattern,
     dispersion,
     fbl_rate,
@@ -15,6 +16,7 @@ from isac_pareto.model import (
     sinr,
 )
 from isac_pareto.numerics import Rng
+from isac_pareto.tlbs import ParetoPoint, validate_point
 from oracles import frobenius_loop, inv_q_bisect, sinr_loop
 
 
@@ -42,6 +44,13 @@ class TestSystemConfig:
     def test_chain_ordering_enforced(self):
         with pytest.raises(ValueError):
             SystemConfig(n_rf=1)  # fewer chains than users
+
+    @pytest.mark.parametrize("eps", [(0.6, 0.6), (1e-5, 0.5), (0.0, 1e-5)])
+    def test_error_probability_below_half(self, eps):
+        # the SINR-threshold inversion needs Q^{-1}(eps) > 0, so the
+        # configuration is rejected when built, not inside the first probe
+        with pytest.raises(ValueError, match="error probabilities"):
+            SystemConfig(n_tx=16, n_rf=3, eps=eps)
 
 
 class TestIdealRadarPrecoder:
@@ -92,6 +101,38 @@ class TestSinr:
         base = sinr(ch, pc, 1e-3)
         pc.f_bb = pc.f_bb * np.exp(1j * gen.uniform(-np.pi, np.pi, pc.f_bb.shape[1]))
         np.testing.assert_allclose(sinr(ch, pc, 1e-3), base, rtol=1e-10)
+
+
+class TestConstraintMargins:
+    @staticmethod
+    def oracle(ch, pc, gamma, noise, p_max):
+        gam = sinr_loop(ch.h, pc.f_rf, pc.f_bb, noise)
+        active = [m for m in range(len(gamma)) if gamma[m] > 0]
+        shortfall = np.array([1.0 - gam[m] / gamma[m] for m in active])
+        return shortfall, frobenius_loop(pc.f_rf @ pc.f_bb) / p_max - 1.0
+
+    def test_matches_scalar_loop_oracle(self):
+        gen = Rng(20).generator()
+        for scale in (0.5, 2.0, 0.5, 2.0):   # over and under the power budget
+            ch, pc, _ = random_instance(gen, n_tx=5, n_rf=3, m=3, n_tar=2)
+            gamma = gen.uniform(0.1, 3.0, size=3)
+            p_max = scale * pc.transmit_power()
+            shortfall, excess = constraint_margins(pc.effective(), ch.h, gamma, 0.7, p_max)
+            want_shortfall, want_excess = self.oracle(ch, pc, gamma, 0.7, p_max)
+            np.testing.assert_allclose(shortfall, want_shortfall, rtol=1e-12, atol=1e-12)
+            assert excess == pytest.approx(want_excess, rel=1e-12)
+            assert excess == pytest.approx(1.0 / scale - 1.0, rel=1e-12)
+
+    def test_dropped_user_has_no_shortfall(self):
+        gen = Rng(21).generator()
+        ch, pc, _ = random_instance(gen, m=3)
+        gamma = np.array([1.5, 0.0, 2.0])
+        shortfall, _ = constraint_margins(pc.effective(), ch.h, gamma, 0.2, 10.0)
+        want, _ = self.oracle(ch, pc, gamma, 0.2, 10.0)
+        assert shortfall.shape == (2,)
+        np.testing.assert_allclose(shortfall, want, rtol=1e-12, atol=1e-12)
+        none_active, _ = constraint_margins(pc.effective(), ch.h, np.zeros(3), 0.2, 10.0)
+        assert none_active.shape == (0,)
 
 
 class TestRates:
@@ -215,23 +256,32 @@ class TestDesiredBeampattern:
 
 
 class TestHybridPrecoderValidate:
+    """Structural invariants of a hybrid precoder, as validate_point checks them."""
+
+    @staticmethod
+    def failures(ch, pc, rs):
+        cfg = SystemConfig(n_tx=8, n_rf=3, p_max=1.0, e_max=1e9)
+        # an infinite-blocklength point: no short-packet rate share to check
+        point = ParetoPoint(feasible=True, rate_nats=0.0, rate_bits=0.0,
+                            rbe=rbe(pc, rs), precoder=pc,
+                            beta=np.array([64, 64]), scheme="ibl_epmo")
+        return validate_point(cfg, ch, rs, point)
+
     def test_accepts_valid(self):
         gen = Rng(10).generator()
-        _, pc, _ = random_instance(gen)
+        ch, pc, rs = random_instance(gen)
         pc.f_bb = pc.f_bb / np.linalg.norm(pc.effective()) * 0.9
-        pc.validate(p_max=1.0)
+        assert self.failures(ch, pc, rs) == []
 
     def test_rejects_modulus_violation(self):
         gen = Rng(11).generator()
-        _, pc, _ = random_instance(gen)
+        ch, pc, rs = random_instance(gen)
         pc.f_bb = pc.f_bb / np.linalg.norm(pc.effective()) * 0.9
         pc.f_rf[0, 0] = 2.0
-        with pytest.raises(ValueError):
-            pc.validate(p_max=1.0)
+        assert any("unit modulus" in f for f in self.failures(ch, pc, rs))
 
     def test_rejects_power_violation(self):
         gen = Rng(12).generator()
-        _, pc, _ = random_instance(gen)
+        ch, pc, rs = random_instance(gen)
         pc.f_bb = pc.f_bb / np.linalg.norm(pc.effective()) * 2.0
-        with pytest.raises(ValueError):
-            pc.validate(p_max=1.0)
+        assert any("exceeds budget" in f for f in self.failures(ch, pc, rs))

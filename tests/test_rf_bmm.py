@@ -34,8 +34,8 @@ def feasible_start(q, gen, tries=500):
     """Rejection-sample a unit-modulus point satisfying all constraints."""
     for _ in range(tries):
         d = random_unit_modulus(gen, q.d_dim)
-        res = q.sinr_residuals(d)
-        worst = max(q.power_residual(d), res.max() if res.size else -np.inf)
+        _, res, power_res = q.probe_eval(d)
+        worst = max(power_res, res.max() if res.size else -np.inf)
         if worst <= 0:
             return d
     raise RuntimeError("could not sample a feasible start")
@@ -49,10 +49,10 @@ class TestMajorize:
             d0 = random_unit_modulus(gen, q.d_dim)
             ms = majorize(q, d0)
             assert ms.surrogate_objective(d0) == pytest.approx(q.objective(d0), abs=1e-9)
-            res = q.sinr_residuals(d0)
+            _, res, power_res = q.probe_eval(d0)
             for k in range(q.active.size):
                 assert ms.surrogate_sinr(d0, k) == pytest.approx(res[k], abs=1e-9)
-            assert ms.surrogate_power(d0) == pytest.approx(q.power_residual(d0), abs=1e-9)
+            assert ms.surrogate_power(d0) == pytest.approx(power_res, abs=1e-9)
 
     def test_domination_on_random_points(self):
         gen = Rng(51).generator()
@@ -62,10 +62,10 @@ class TestMajorize:
         for _ in range(2000):
             d = random_unit_modulus(gen, q.d_dim)
             assert ms.surrogate_objective(d) >= q.objective(d) - 1e-9
-            res = q.sinr_residuals(d)
+            _, res, power_res = q.probe_eval(d)
             for k in range(q.active.size):
                 assert ms.surrogate_sinr(d, k) >= res[k] - 1e-9
-            assert ms.surrogate_power(d) >= q.power_residual(d) - 1e-9
+            assert ms.surrogate_power(d) >= power_res - 1e-9
 
     def test_identity_scaled_quadratic_reduces_to_linear(self):
         # Xi = c_r * I happens when F_bb F_bb^H is identity-like: then the
@@ -98,7 +98,7 @@ class TestPrimalStep:
         gen = Rng(54).generator()
         q, _, _ = make_instance(gen)
         d0 = random_unit_modulus(gen, q.d_dim)
-        got = primal_step(q, d0, DualState.zeros(q.active.size))
+        got = primal_step(majorize(q, d0), DualState.zeros(q.active.size))
         want = phase_project((q.c_r * d0 - q.xi_dot(d0)) + q.a_r)
         np.testing.assert_array_equal(got, want)
 
@@ -109,9 +109,7 @@ class TestPrimalStep:
         d0 = random_unit_modulus(gen, q.d_dim)
         ms = majorize(q, d0)
         object.__setattr__(ms, "u_obj", -q.a_r)  # emulate Xi = c_r I collapse
-        from isac_pareto.rf_bmm import _primal_from
-
-        got = _primal_from(ms, np.zeros(q.active.size), 0.0)
+        got = primal_step(ms, DualState.zeros(q.active.size))
         np.testing.assert_array_equal(got, phase_project(q.a_r))
 
     def test_output_unit_modulus_and_decreases_surrogate(self):
@@ -120,7 +118,7 @@ class TestPrimalStep:
             q, _, _ = make_instance(gen)
             d0 = random_unit_modulus(gen, q.d_dim)
             ms = majorize(q, d0)
-            out = primal_step(q, d0, DualState.zeros(q.active.size))
+            out = primal_step(ms, DualState.zeros(q.active.size))
             assert np.max(np.abs(np.abs(out) - 1.0)) < 1e-14
             assert ms.surrogate_objective(out) <= ms.surrogate_objective(d0) + 1e-9
 
@@ -132,7 +130,7 @@ class TestDualBisection:
         # unconstrained surrogate minimizer
         q, _, _ = make_instance(gen, gamma=np.array([1e-4, 1e-4]), p_max=1e6)
         d0 = feasible_start(q, gen)
-        out = dual_bisection(q, d0, DualState.zeros(q.active.size))
+        out = dual_bisection(majorize(q, d0), DualState.zeros(q.active.size))
         assert np.all(out.lam == 0.0) and out.vartheta == 0.0
 
     def test_violated_constraint_driven_to_boundary(self):
@@ -141,12 +139,9 @@ class TestDualBisection:
             q, _, _ = make_instance(gen, gamma=np.array([3.0, 3.0]), noise=0.3)
             d0 = feasible_start(q, gen, tries=2000) if attempt >= 0 else None
             ms = majorize(q, d0)
-            duals = dual_bisection(q, d0, DualState.zeros(q.active.size), tol=1e-6)
+            duals = dual_bisection(ms, DualState.zeros(q.active.size))  # TOL = 1e-6
             moved = False
-            d_star = primal_step(q, d0, duals)
-            from isac_pareto.rf_bmm import _primal_from
-
-            d_star = _primal_from(ms, duals.lam, duals.vartheta)
+            d_star = primal_step(ms, duals)
             for k in range(q.active.size):
                 if duals.lam[k] > 0:
                     moved = True
@@ -164,7 +159,7 @@ class TestDualBisection:
                 d0 = feasible_start(q, gen, tries=2000)
             except RuntimeError:
                 continue
-            duals = dual_bisection(q, d0, DualState.zeros(q.active.size))
+            duals = dual_bisection(majorize(q, d0), DualState.zeros(q.active.size))
             trace = np.array(duals.lagrangian_trace)
             assert np.all(np.diff(trace) >= -1e-7 * np.maximum(1.0, np.abs(trace[:-1])))
 
@@ -216,9 +211,9 @@ class TestBmmSolve:
                 continue
             result = bmm_solve(q, d0)
             assert np.max(np.abs(np.abs(result.d) - 1.0)) < 1e-14
-            res = q.sinr_residuals(result.d)
+            _, res, power_res = q.probe_eval(result.d)
             assert np.all(res <= 1e-6)
-            assert q.power_residual(result.d) <= 1e-6
+            assert power_res <= 1e-6
             done += 1
             if done >= 10:
                 break
@@ -232,12 +227,10 @@ class TestBmmSolve:
         result = bmm_solve(q, d0, max_iter=5)
         d = d0
         duals = DualState.zeros(q.active.size)
-        from isac_pareto.rf_bmm import _dual_bisection_on, _primal_from
-
         for _ in range(3):
             ms = majorize(q, d)
-            duals = _dual_bisection_on(ms, duals, 1e-6)
-            nxt = _primal_from(ms, duals.lam, duals.vartheta)
+            duals = dual_bisection(ms, duals)
+            nxt = primal_step(ms, duals)
             if q.objective(nxt) > q.objective(d):
                 break
             assert q.objective(nxt) <= ms.surrogate_objective(nxt) + 1e-9
@@ -248,7 +241,8 @@ class TestBmmSolve:
         gen = Rng(64).generator()
         q, _, _ = make_instance(gen, gamma=np.array([50.0, 50.0]), noise=5.0)
         d0 = random_unit_modulus(gen, q.d_dim)
-        if max(q.sinr_residuals(d0).max(), q.power_residual(d0)) <= 1e-6:
+        _, res, power_res = q.probe_eval(d0)
+        if max(res.max(), power_res) <= 1e-6:
             pytest.skip("sampled point unexpectedly feasible")
         with pytest.raises(InfeasibleStart):
             bmm_solve(q, d0)

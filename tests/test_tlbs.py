@@ -254,6 +254,21 @@ class TestTlbsSolve:
         assert done >= 5
 
 
+class TestInfiniteBlocklength:
+    def test_ibl_point_meets_shannon_shares(self):
+        # the paper's infinite-blocklength benchmark: thresholds come from
+        # ln(1 + SINR_m) >= eta_m * rate, with the even blocklength split
+        cfg, ch, rs = scenario(seed=4)
+        opts = SolveOptions(rf_method="fdb", rate_mode="ibl", tol_rate=0.05, max_bcd=10)
+        point = tlbs_solve(cfg, ch, rs, opts)
+        assert point.feasible
+        assert point.scheme == "ibl_fdb"
+        assert validate_point(cfg, ch, rs, point) == []
+        gam = sinr(ch, point.precoder, cfg.noise)
+        for m in range(cfg.n_cu):
+            assert math.log1p(gam[m]) >= cfg.eta[m] * point.rate_nats
+
+
 class TestValidatePoint:
     def test_detects_tampering(self):
         cfg, ch, rs = scenario(seed=8)

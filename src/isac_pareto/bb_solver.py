@@ -1,17 +1,20 @@
 """Baseband precoder update by a small interior-point cone solver, plus the
 closed-form auxiliary-matrix update.
 
-With the RF stage fixed, the baseband subproblem is convex: a least-squares
-objective against the sensing target under one second-order cone per user
-(SINR rewritten with a common phase shift so the diagonal gain is real) and
-a transmit-power ball. The variable count is tiny (two reals per baseband
-coefficient), so the program is solved in-repo by a log-barrier
-path-following Newton method: a slack-minimizing phase recovers a strictly
-feasible point, then the central path is followed with the barrier weight
-increased tenfold per stage until the duality gap bound is negligible.
+With the RF stage fixed, the baseband subproblem is one convex program: a
+least-squares objective against the sensing target under one second-order
+cone per user and a transmit-power ball. Each SINR constraint becomes a cone
+once user m's diagonal gain h_m^H rf f_m is rotated onto the real axis, and
+solve_bb takes that rotation from the incumbent precoder, so one cone
+program per baseband step suffices (see solve_bb for the argument).
 
-SINR cones are expressed in units of the root noise power and the power
-ball in units of the root budget, which keeps every barrier term O(1).
+The variable count is tiny (two reals per baseband coefficient), so the
+program is solved in-repo by a log-barrier path-following Newton method: a
+slack-minimizing phase recovers a strictly feasible point, then the central
+path is followed with the barrier weight raised per stage until the duality
+gap bound is negligible. SINR cones are expressed in units of the root noise
+power and the power ball in units of the root budget, which keeps every
+barrier term O(1).
 
 The auxiliary row-orthonormal matrix has an exact solution through the
 singular value decomposition (the classic orthogonal Procrustes argument:
@@ -132,17 +135,15 @@ class _BarrierProgram:
     def __init__(self, p_quad, q_lin, cones, p_ball):
         self.p_quad = p_quad
         self.q_lin = q_lin
-        self.cones = cones          # list of (J, y0, c)
         self.p_ball = p_ball
         self.n = q_lin.size
-
-    def cone_values(self, x):
-        vals = []
-        for j_mat, y0, c in self.cones:
-            s = float(c @ x)
-            y = j_mat @ x + y0
-            vals.append((s, float(s * s - y @ y)))
-        return vals
+        # the x-independent terms are built once: per cone (J, J^T, y0, c, u''),
+        # plus 2P and the ball's u'' = -2 P_ball
+        self.cones = [(j_mat, j_mat.T, y0, c,
+                       2.0 * np.outer(c, c) - 2.0 * (j_mat.T @ j_mat))
+                      for j_mat, y0, c in cones]
+        self.two_p_quad = 2.0 * p_quad
+        self.d2u_ball = -2.0 * p_ball
 
     def ball_value(self, x):
         return 1.0 - float(x @ self.p_ball @ x)
@@ -150,23 +151,33 @@ class _BarrierProgram:
     def interior(self, x) -> bool:
         if self.ball_value(x) <= 0:
             return False
-        return all(s > 0 and u > 0 for s, u in self.cone_values(x))
+        for j_mat, _, y0, c, _ in self.cones:
+            s = float(c @ x)
+            if s <= 0:
+                return False
+            y = j_mat @ x + y0
+            if s * s - float(y @ y) <= 0:
+                return False
+        return True
 
-    def grad_hess(self, x, kappa):
-        grad = kappa * (2.0 * self.p_quad @ x - 2.0 * self.q_lin)
-        hess = kappa * 2.0 * self.p_quad.copy()
-        for j_mat, y0, c in self.cones:
+    def cone_terms(self, x):
+        """Slack u_i, gradient u'_i and Hessian u''_i of each cone at x."""
+        for j_mat, j_t, y0, c, d2u in self.cones:
             s = float(c @ x)
             y = j_mat @ x + y0
-            u = s * s - float(y @ y)
-            du = 2.0 * s * c - 2.0 * (j_mat.T @ y)
+            yield s * s - float(y @ y), 2.0 * s * c - 2.0 * (j_t @ y), d2u
+
+    def grad_hess(self, x, kappa):
+        grad = kappa * (self.two_p_quad @ x - 2.0 * self.q_lin)
+        hess = kappa * self.two_p_quad
+        for u, du, d2u in self.cone_terms(x):
             grad -= du / u
             hess += np.outer(du, du) / (u * u)
-            hess -= (2.0 * np.outer(c, c) - 2.0 * (j_mat.T @ j_mat)) / u
+            hess -= d2u / u
         ub = self.ball_value(x)
-        dub = -2.0 * self.p_ball @ x
+        dub = self.d2u_ball @ x
         grad -= dub / ub
-        hess += np.outer(dub, dub) / (ub * ub) + 2.0 * self.p_ball / ub
+        hess += np.outer(dub, dub) / (ub * ub) - self.d2u_ball / ub
         return grad, hess
 
     def newton_center(self, x, kappa, tol=1e-12, max_steps=120):
@@ -215,8 +226,8 @@ def _build_cone_rows(inst: SocpInstance, n_rf: int, m_users: int, phases: np.nda
 
     phases[k] rotates the rim functional of active user k to
     Re(e^{-j phase} t_{m,m}): the rate constraint itself is invariant to each
-    column's phase, so the rim may point at any representative; the caller
-    picks the rotation that best serves the phase-sensitive objective.
+    column's phase, so the rim may point at any representative; solve_bb
+    points it at the incumbent's diagonal gain.
     """
     n = 2 * n_rf * m_users
     root_noise = np.sqrt(inst.noise)
@@ -243,26 +254,27 @@ def _build_cone_rows(inst: SocpInstance, n_rf: int, m_users: int, phases: np.nda
     return cones
 
 
-def _alignment_phases(inst: SocpInstance, f_bb: np.ndarray) -> np.ndarray:
-    """Per-active-user phase of the diagonal gain at this precoder."""
-    gains = inst.h_eff_all @ f_bb  # t[m, n] = h_m^H rf f_n
-    return np.array([float(np.angle(gains[m, m])) for m in inst.active])
-
-
-def solve_bb(inst: SocpInstance) -> SocpSolution:
+def solve_bb(inst: SocpInstance, f_ref: Optional[np.ndarray] = None) -> SocpSolution:
     """Minimize the sensing mismatch subject to SINR cones and a power ball.
 
-    The cone program is solved at a fixed rim rotation per user; because the
-    rate constraints ignore each column's phase while the objective does not,
-    the rotation is seeded from the unconstrained fit and then realigned to
-    the incumbent solution until the objective stops improving (the joint
-    objective is monotone under this alternation).
+    One cone program is solved, with each user's rim rotated to the phase of
+    the diagonal gain h_m^H rf f_m at f_ref (the incumbent baseband
+    precoder; the unconstrained least-squares fit when None). Rotating
+    column m of F_bb and of U by one phase changes neither the objective,
+    nor any SINR, nor the power, so h_m^H rf f_m may be taken real and
+    positive without loss (Wiesel, Eldar & Shamai 2006, "Linear precoding
+    via conic optimization for fixed MIMO receivers", here with the
+    RBE-with-U objective of Liu et al. 2018, "MU-MIMO communications with
+    MIMO radar"). A feasible f_ref therefore lies inside the rotated cones
+    and the solution is never worse than it; the next call, seeded with this
+    solution, realigns the rim.
 
     Raises InfeasibleSubproblem when the slack-minimization phase certifies
     an empty interior, SolverError if Newton stalls above KKT_TOL.
     """
-    n_tx, n_rf = inst.rf.shape
+    n_rf = inst.rf.shape[1]
     m_users = inst.target.shape[1]
+    n = 2 * n_rf * m_users
 
     # objective ||rf F_bb - target||^2 = x^T P x - 2 q^T x + const
     a_c = np.kron(np.eye(m_users), inst.rf)
@@ -273,31 +285,11 @@ def solve_bb(inst: SocpInstance) -> SocpSolution:
     p_ball = p_quad / inst.p_max
     x_ls = np.linalg.lstsq(a_real, b_real, rcond=None)[0]
 
-    f_ls = _unlift(x_ls, n_rf, m_users)
-    phases = _alignment_phases(inst, f_ls)
-    best = _solve_fixed_phases(inst, phases, p_quad, q_lin, p_ball, x_ls)
-    for _ in range(4):
-        new_phases = _alignment_phases(inst, best.f_bb)
-        delta = np.angle(np.exp(1j * (new_phases - phases)))
-        if np.all(np.abs(delta) < 1e-9):
-            break  # rim rotation already aligned with the solution
-        phases = new_phases
-        try:
-            retry = _solve_fixed_phases(inst, phases, p_quad, q_lin, p_ball, x_ls)
-        except SolverError:
-            break  # keep the certified incumbent
-        if retry.objective < best.objective * (1.0 - 1e-12):
-            best = retry
-        else:
-            break
-    return best
-
-
-def _solve_fixed_phases(inst, phases, p_quad, q_lin, p_ball, x_ls) -> SocpSolution:
-    n_rf = inst.rf.shape[1]
-    m_users = inst.target.shape[1]
-    n = 2 * n_rf * m_users
-    cones = _build_cone_rows(inst, n_rf, m_users, phases)
+    if f_ref is None:
+        f_ref = _unlift(x_ls, n_rf, m_users)
+    gains = inst.h_eff_all @ f_ref  # t[m, n] = h_m^H rf f_n
+    cones = _build_cone_rows(inst, n_rf, m_users,
+                             np.angle(gains[inst.active, inst.active]))
 
     ball = float(x_ls @ p_ball @ x_ls)
     x0 = x_ls if ball < 0.81 else x_ls * (0.9 / np.sqrt(max(ball, 1e-300)))
@@ -338,16 +330,8 @@ def _solve_fixed_phases(inst, phases, p_quad, q_lin, p_ball, x_ls) -> SocpSoluti
 
 def _constraint_terms(prog: _BarrierProgram, x: np.ndarray):
     """Slack u_i, gradient u'_i, and Hessian u''_i of every constraint u_i > 0."""
-    terms = []
-    for j_mat, y0, c in prog.cones:
-        s = float(c @ x)
-        y = j_mat @ x + y0
-        u = s * s - float(y @ y)
-        du = 2.0 * s * c - 2.0 * (j_mat.T @ y)
-        d2u = 2.0 * np.outer(c, c) - 2.0 * (j_mat.T @ j_mat)
-        terms.append((u, du, d2u))
-    u_ball = 1.0 - float(x @ prog.p_ball @ x)
-    terms.append((u_ball, -2.0 * prog.p_ball @ x, -2.0 * prog.p_ball))
+    terms = list(prog.cone_terms(x))
+    terms.append((prog.ball_value(x), prog.d2u_ball @ x, prog.d2u_ball))
     return terms
 
 
@@ -367,7 +351,7 @@ def _refine_with_active_set(prog: _BarrierProgram, x: np.ndarray,
     for _ in range(20):
         terms = _constraint_terms(prog, xa)
         grad = 2.0 * (prog.p_quad @ xa - prog.q_lin)
-        hess = 2.0 * prog.p_quad.copy()
+        hess = prog.two_p_quad.copy()
         cols = np.zeros((n, len(active)))
         rhs_act = np.zeros(len(active))
         for k, i in enumerate(active):
@@ -441,7 +425,7 @@ def _phase_one(prog: _BarrierProgram, x0: np.ndarray, n: int) -> Optional[np.nda
     down. Success is any iterate whose true slacks are all positive.
     """
     aug_cones = []
-    for j_mat, y0, c in prog.cones:
+    for j_mat, _, y0, c, _ in prog.cones:
         j_aug = np.hstack([j_mat, np.zeros((j_mat.shape[0], 1))])
         c_aug = np.concatenate([c, [1.0]])
         aug_cones.append((j_aug, y0, c_aug))
@@ -453,9 +437,10 @@ def _phase_one(prog: _BarrierProgram, x0: np.ndarray, n: int) -> Optional[np.nda
     aug = _BarrierProgram(p_aug, q_aug, aug_cones, ball_aug)
 
     worst = max(np.sqrt(float((j @ x0 + y0) @ (j @ x0 + y0))) - float(c @ x0)
-                for j, y0, c in prog.cones)
+                for j, _, y0, c, _ in prog.cones)
     x = np.concatenate([x0, [worst + 1.0]])
-    assert aug.interior(x), "phase-1 start must be interior by construction"
+    if not aug.interior(x):
+        raise SolverError("phase-one start is not interior")
 
     kappa = 1.0
     for _ in range(16):

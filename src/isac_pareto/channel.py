@@ -60,10 +60,6 @@ class ChannelSet:
             raise ValueError("a channel vector is identically zero")
 
     @property
-    def n_users(self) -> int:
-        return self.h.shape[0]
-
-    @property
     def n_tx(self) -> int:
         return self.h.shape[1]
 

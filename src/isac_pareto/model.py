@@ -32,7 +32,6 @@ __all__ = [
     "dispersion",
     "shannon_rate",
     "fbl_rate",
-    "sum_rate",
     "rbe",
     "beampattern",
     "desired_beampattern",
@@ -214,14 +213,6 @@ def fbl_rate(gamma: float, beta, eps: float):
     penalty = np.sqrt(dispersion(gamma) / beta_arr) * inv_q(eps)
     out = np.log1p(gamma) - penalty
     return float(out) if out.ndim == 0 else out
-
-
-def sum_rate(gammas: np.ndarray, betas: np.ndarray, eps: Sequence[float]) -> float:
-    """Aggregate rate in nats; negative per-user rates count as zero."""
-    total = 0.0
-    for g, b, e in zip(np.atleast_1d(gammas), np.atleast_1d(betas), eps):
-        total += max(0.0, fbl_rate(float(g), float(b), float(e)))
-    return total
 
 
 def rbe(pc: HybridPrecoder, rs: RadarSpec) -> float:

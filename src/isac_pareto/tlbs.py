@@ -294,10 +294,10 @@ def inner_bcd(
 
 
 def _bb_step(f_rf, f_bb, u, ch, rs, gammas, cfg):
-    """Cone-program baseband update with monotone acceptance."""
+    """Cone-program baseband update at the incumbent's rim, with monotone acceptance."""
     inst = make_socp_instance(f_rf, ch.h, rs.f_r @ u, gammas, cfg.p_max, cfg.noise)
     try:
-        sol = solve_bb(inst)
+        sol = solve_bb(inst, f_ref=f_bb)
     except InfeasibleSubproblem:
         return None
     current = float(np.linalg.norm(f_rf @ f_bb - rs.f_r @ u) ** 2)

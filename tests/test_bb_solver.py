@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
+from isac_pareto import bb_solver
 from isac_pareto.bb_solver import (
     InfeasibleSubproblem,
     make_socp_instance,
     solve_bb,
     update_u,
 )
+from isac_pareto.model import constraint_margins
 from isac_pareto.numerics import Rng
 from oracles import random_row_orthonormal, random_unit_modulus
 
@@ -127,6 +130,142 @@ class TestSolveBB:
         if np.linalg.norm(f_rf @ ls) ** 2 <= 10.0:
             want = np.linalg.norm(f_rf @ ls - target) ** 2
             assert sol.objective == pytest.approx(want, abs=1e-6 * max(1.0, want) + 1e-9)
+
+
+def random_program(gen, n, n_cones):
+    """Barrier program data (P, q, cones, P_ball) and a point strictly inside it."""
+    a = gen.normal(size=(n + 2, n))
+    p_quad = a.T @ a
+    q_lin = gen.normal(size=n)
+    x = gen.normal(size=n)
+    p_ball = p_quad / (2.0 * (x @ p_quad @ x))  # ball slack 1/2 at x
+    cones = []
+    for _ in range(n_cones):
+        j_mat = gen.normal(size=(5, n))
+        y0 = gen.normal(size=5)
+        c = gen.normal(size=n)
+        # move c along x until the rim value c^T x is 2 ||J x + y0|| + 1
+        rim = 2.0 * np.linalg.norm(j_mat @ x + y0) + 1.0
+        cones.append((j_mat, y0, c + (rim - c @ x) * x / (x @ x)))
+    return (p_quad, q_lin, cones, p_ball), x
+
+
+def barrier_value(raw, x, kappa):
+    """kappa (x^T P x - 2 q^T x) - sum_i log u_i(x) - log(1 - x^T P_ball x)."""
+    p_quad, q_lin, cones, p_ball = raw
+    val = kappa * (x @ p_quad @ x - 2.0 * q_lin @ x) - np.log(1.0 - x @ p_ball @ x)
+    for j_mat, y0, c in cones:
+        y = j_mat @ x + y0
+        val -= np.log((c @ x) ** 2 - y @ y)
+    return val
+
+
+def assert_grad_hess_match_differences(raw, x, kappa):
+    prog = bb_solver._BarrierProgram(*raw)
+    assert prog.interior(x)
+    grad, hess = prog.grad_hess(x, kappa)
+    step = 1e-5 * max(1.0, np.linalg.norm(x))
+    fd_grad = np.empty(x.size)
+    fd_hess = np.empty((x.size, x.size))
+    for i, e in enumerate(np.eye(x.size) * step):
+        fd_grad[i] = (barrier_value(raw, x + e, kappa)
+                      - barrier_value(raw, x - e, kappa)) / (2.0 * step)
+        fd_hess[:, i] = (prog.grad_hess(x + e, kappa)[0]
+                         - prog.grad_hess(x - e, kappa)[0]) / (2.0 * step)
+    np.testing.assert_allclose(grad, fd_grad, rtol=1e-6,
+                               atol=1e-6 * (1.0 + np.abs(grad).max()))
+    np.testing.assert_allclose(hess, fd_hess, rtol=1e-6,
+                               atol=1e-6 * (1.0 + np.abs(hess).max()))
+    np.testing.assert_allclose(hess, hess.T, rtol=0, atol=1e-12 * np.abs(hess).max())
+
+
+class TestBarrierDerivatives:
+    @pytest.mark.parametrize("n_cones", [0, 1, 2])
+    def test_grad_hess_match_central_differences(self, n_cones):
+        gen = Rng(104, n_cones).generator()
+        for _ in range(5):
+            raw, x = random_program(gen, 8, n_cones)
+            for kappa in (1.0, 37.0):
+                assert_grad_hess_match_differences(raw, x, kappa)
+                # a second interior point, off the construction point
+                x2 = x + 0.05 * gen.normal(size=x.size)
+                if bb_solver._BarrierProgram(*raw).interior(x2):
+                    assert_grad_hess_match_differences(raw, x2, kappa)
+
+    def test_phase_one_program_matches_central_differences(self, monkeypatch):
+        gen = Rng(104, 3).generator()
+        raw, x = random_program(gen, 6, 2)
+        prog = bb_solver._BarrierProgram(*raw)
+        built = []
+
+        class Recording(bb_solver._BarrierProgram):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(bb_solver, "_BarrierProgram", Recording)
+        x0 = -x  # every rim value c^T x0 is negative: phase one must run
+        assert not prog.interior(x0)
+        bb_solver._phase_one(prog, x0, x0.size)
+        aug_raw = built[0]
+        worst = max(np.linalg.norm(j @ x0 + y0) - c @ x0 for j, y0, c in raw[2])
+        x_aug = np.concatenate([x0, [worst + 1.0]])
+        for kappa in (1.0, 37.0):
+            assert_grad_hess_match_differences(aug_raw, x_aug, kappa)
+            assert_grad_hess_match_differences(
+                aug_raw, x_aug + 0.01 * gen.normal(size=x_aug.size), kappa)
+
+
+def polished_incumbent(f_rf, h, target, gam, f_start, noise=0.1, p_max=10.0):
+    """Local SLSQP descent on the SINR- and power-constrained fit from f_start."""
+    shape = f_start.shape
+
+    def mat(v):
+        return (v[:v.size // 2] + 1j * v[v.size // 2:]).reshape(shape)
+
+    res = minimize(
+        lambda v: np.linalg.norm(f_rf @ mat(v) - target) ** 2,
+        np.concatenate([f_start.ravel().real, f_start.ravel().imag]),
+        method="SLSQP",
+        constraints=[
+            {"type": "ineq",
+             "fun": lambda v: achieved_sinr(h, f_rf, mat(v), noise) / (gam * (1 + 1e-6)) - 1},
+            {"type": "ineq",
+             "fun": lambda v: 1 - np.linalg.norm(f_rf @ mat(v)) ** 2 / (p_max * (1 - 1e-6))},
+        ],
+        options={"ftol": 1e-12, "maxiter": 300},
+    )
+    return mat(res.x)
+
+
+class TestIncumbentRim:
+    def test_never_worse_than_a_feasible_incumbent(self):
+        # thresholds above what the power-capped fit reaches, so the cones
+        # bind; incumbents are the solution at the least-squares rim and a
+        # local polish of it, which sits at a rim of its own
+        gen = Rng(105).generator()
+        checked = improved = 0
+        for _ in range(20):
+            f_rf, h, f_r, u, target = make_data(gen)
+            fit = solve_bb(make_socp_instance(f_rf, h, target, [0.0, 0.0],
+                                              p_max=10.0, noise=0.1))
+            gam = achieved_sinr(h, f_rf, fit.f_bb, 0.1) * gen.uniform(1.5, 4.0, size=2) + 0.5
+            inst = make_socp_instance(f_rf, h, target, gam, p_max=10.0, noise=0.1)
+            try:
+                at_fit_rim = solve_bb(inst)
+            except InfeasibleSubproblem:
+                continue
+            polished = polished_incumbent(f_rf, h, target, gam, at_fit_rim.f_bb)
+            for f_ref in (at_fit_rim.f_bb, polished):
+                shortfall, excess = constraint_margins(f_rf @ f_ref, h, gam, 0.1, 10.0)
+                if shortfall.max() > 0 or excess > 0:
+                    continue  # only a feasible incumbent lies inside the cones
+                want = np.linalg.norm(f_rf @ f_ref - target) ** 2
+                improved += want < at_fit_rim.objective * (1 - 1e-6)
+                assert solve_bb(inst, f_ref=f_ref).objective <= want * (1 + 1e-9)
+                checked += 1
+        assert checked >= 30
+        assert improved >= 5  # some incumbents beat the least-squares rim
 
 
 class TestUpdateU:

@@ -90,6 +90,22 @@ class SystemConfig:
             raise ValueError("target_angles_deg must have one entry per target")
         if self.n_tar > self.n_rf:
             raise ValueError("need n_tar <= n_rf so the auxiliary matrix is wide")
+        if any(not -90.0 <= a <= 90.0 for a in self.target_angles_deg):
+            raise ValueError("target angles must lie in [-90, 90] degrees")
+        # channel fields, checked here rather than inside generate_channels
+        if self.cu_angles_deg is not None and len(self.cu_angles_deg) != self.n_cu:
+            raise ValueError("cu_angles_deg must have one entry per user")
+        if self.distances_m is not None:
+            if len(self.distances_m) != self.n_cu:
+                raise ValueError("distances_m must have one entry per user")
+            if any(not d > 0 for d in self.distances_m):
+                raise ValueError("distances must be positive")
+        if self.n_clu < 1 or self.n_ray < 1:
+            raise ValueError("need at least one cluster and one ray per cluster")
+        if not self.angular_spread_deg >= 0:
+            raise ValueError("angular spread must be nonnegative")
+        if not self.shadow_std_db >= 0:
+            raise ValueError("shadowing standard deviation must be nonnegative")
 
     @property
     def geometry(self) -> ArrayGeometry:

@@ -206,8 +206,9 @@ def phase_project(v) -> np.ndarray:
 
 
 def fast_unit(v: np.ndarray) -> np.ndarray:
-    """One-pass circle normalization for interior probe points (line-search
-    and dual-bisection probes); points a solver returns go through
-    phase_project for the exact-projection contract."""
+    """One-pass circle normalization for interior probe points (EPMO
+    line-search probes and the BMM surrogate-dual Lagrangian, whose
+    multiplier steps use its closed form); points a solver returns go
+    through phase_project for the exact-projection contract."""
     v = np.where(v == 0, 1.0 + 0.0j, v)
     return v / np.abs(v)

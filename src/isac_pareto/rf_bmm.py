@@ -1,12 +1,17 @@
-"""RF precoder solver by majorization-minimization with bisected duals.
+"""RF precoder solver by majorization-minimization with a surrogate dual.
 
 Each iteration linearizes the quadratic objective and constraints around the
 current unit-modulus iterate (the trace-scaled identity majorizer keeps the
 surrogates tight at the anchor and dominating everywhere on the circle
 manifold), then solves the surrogate program exactly: the Lagrangian is
 linear in the precoder, so the primal minimizer is a closed-form phase
-projection, and each dual multiplier is driven to complementary slackness by
-scalar bisection with a doubling upper bracket.
+projection, and each dual multiplier is driven to complementary slackness
+by coordinate ascent. One multiplier's surrogate constraint at the primal
+minimizer is a closed-form, nonincreasing real scalar function with a
+closed-form slope, so it is solved by Newton steps safeguarded by a
+bisection bracket (Sun, Babu & Palomar 2017, "Majorization-Minimization
+Algorithms in Signal Processing", on solving MM subproblems), warm-started
+at the multiplier of the previous iteration.
 
 SINR surrogates are handled in noise-normalized units and the power
 surrogate in budget-normalized units so the multiplier windows are
@@ -37,8 +42,12 @@ __all__ = [
 
 MAX_DUAL_SWEEPS = 50
 MAX_BRACKET_DOUBLINGS = 64
+# a surrogate still violated at this multiplier counts as unattainable
+_BRACKET_LIMIT = 2.0 ** MAX_BRACKET_DOUBLINGS
 MAX_BISECT_STEPS = 200
-# surrogate-constraint window of the dual bisection, feasibility gate on the
+# relative size below which |v + x*u|^2 in closed form is rounding noise
+_CANCEL = 64.0 * np.finfo(float).eps
+# surrogate-constraint window of the dual step, feasibility gate on the
 # iterates (relative constraint margins), and relative objective change that
 # ends the outer loop
 TOL = 1e-6
@@ -165,43 +174,111 @@ def _lagrangian_at_minimizer(ms: MajorizerSet, lam: np.ndarray, vartheta: float)
     return value
 
 
-def _solve_multiplier(constraint_at, tol: float) -> float:
-    """Smallest multiplier driving the surrogate constraint into (-tol, 0].
+class _ConstraintProbe:
+    """g(x) = 2*Re(u^H fast_unit(-(v + x*u))) + k and g'(x) in closed form.
 
-    constraint_at(x) evaluates the surrogate constraint at the primal
-    minimizer with this multiplier set to x and the rest held fixed.
+    With w = conj(v)*u, p = Re(w), s = |u|^2 and r = |v|^2 per entry,
+    q = |v + x*u|^2 = r + 2xp + x^2 s, so
+
+        g(x)  = k - 2 * sum((p + x*s) / sqrt(q))
+        g'(x) = -2 * sum(Im(w)^2 / q^(3/2)) <= 0
+
+    (s*r - p^2 = Im(w)^2), and each probe is a few real vector operations.
+    s and its largest entry s_max are passed in, as they do not depend on v.
+    An entry whose q is within rounding of zero (fast_unit maps an exact
+    zero of v + x*u to 1) takes its term from fast_unit itself, and g' is
+    then returned as nan.
     """
-    if constraint_at(0.0) <= 0.0:
+
+    def __init__(self, v: np.ndarray, u: np.ndarray, s: np.ndarray, s_max: float,
+                 k: float):
+        w = np.conj(v) * u
+        self.v, self.u, self.s, self.s_max, self.k = v, u, s, s_max, k
+        self.p = w.real
+        self.t2 = w.imag * w.imag
+        self.r = v.real * v.real + v.imag * v.imag
+        self.r_max = float(self.r.max())
+
+    def at_zero(self):
+        """g(0) and g'(0) without the x terms: g(0) decides whether the
+        multiplier is slack, and about half of all solves stop there."""
+        r = self.r
+        if r.min() > 0.0:
+            inv = 1.0 / np.sqrt(r)
+            value = self.k - 2.0 * float(np.dot(self.p, inv))
+            return value, -2.0 * float(np.dot(self.t2, inv / r))
+        return self(0.0)
+
+    def __call__(self, x: float):
+        p, s, r = self.p, self.s, self.r
+        xs = x * s
+        q = r + x * (2.0 * p + xs)
+        # rounding moves q by at most a few eps * (r + x^2 s) per entry
+        if q.min() > _CANCEL * (self.r_max + x * x * self.s_max):
+            inv = 1.0 / np.sqrt(q)
+            value = self.k - 2.0 * float(np.dot(p + xs, inv))
+            return value, -2.0 * float(np.dot(self.t2, inv / q))
+        near = q <= _CANCEL * (r + x * xs)
+        far = ~near
+        d_near = fast_unit(-(self.v[near] + x * self.u[near]))
+        value = (self.k + 2.0 * float(np.real(np.vdot(self.u[near], d_near)))
+                 - 2.0 * float(np.sum((p[far] + xs[far]) / np.sqrt(q[far]))))
+        return value, np.nan
+
+
+def _solve_multiplier(probe: _ConstraintProbe, x_start: float) -> float:
+    """A multiplier driving the surrogate constraint into (-TOL, 0].
+
+    probe(x) returns the surrogate constraint and its slope at the primal
+    minimizer with this multiplier set to x and the rest held fixed; the
+    constraint is nonincreasing in x. Returns 0 when it is slack at 0.
+    Otherwise safeguarded Newton ("rtsafe"): the first probe is x_start
+    (the multiplier's previous value, or 1 when that is 0), and each step
+    aims at the middle of the window from the bracket end nearer to it. A
+    step that leaves the bracket, or has no negative slope, is replaced by
+    a bisection; while no feasible side is known, a step that did not
+    halve the violation is followed by at least a doubling (to 1 or more).
+    """
+    value, slope = probe.at_zero()
+    if value <= 0.0:
         return 0.0
-    upper = 1.0
-    if constraint_at(upper) > 0.0:
-        doublings = 0
-        while constraint_at(upper) >= 0.0:
-            upper *= 2.0
-            doublings += 1
-            if doublings > MAX_BRACKET_DOUBLINGS:
+    lower, upper = (0.0, value, slope), None
+    x = x_start if x_start > 0.0 else 1.0
+    for _ in range(MAX_BRACKET_DOUBLINGS + MAX_BISECT_STEPS):
+        value, slope = probe(x)
+        if -TOL < value <= 0.0:
+            return x
+        if value > 0.0:
+            if x >= _BRACKET_LIMIT:
                 raise DualDivergence(
                     "dual bracket exceeded 2^64; surrogate constraint unattainable"
                 )
-        lower = upper / 2.0
-    else:
-        lower = 0.0
-    x = 0.5 * (lower + upper)
-    for _ in range(MAX_BISECT_STEPS):
-        value = constraint_at(x)
-        if -tol < value <= 0.0:
-            return x
-        if value >= 0.0:
-            lower = x
+            halved = value <= 0.5 * lower[1]
+            lower = (x, value, slope)
         else:
-            upper = x
-        x = 0.5 * (lower + upper)
-    return upper  # feasible side if the tolerance window was never hit
+            upper = (x, value, slope)
+        base = lower
+        if upper is not None and -(upper[1] + 0.5 * TOL) < lower[1] + 0.5 * TOL:
+            base = upper
+        x_base, value, slope = base
+        newton = x_base - (value + 0.5 * TOL) / slope if slope < 0.0 else -np.inf
+        if upper is None:
+            if not (halved and newton > x_base):
+                newton = max(newton, 2.0 * x_base, 1.0)
+            x = min(newton, _BRACKET_LIMIT)
+        elif lower[0] < newton < upper[0]:
+            x = newton
+        else:
+            x = 0.5 * (lower[0] + upper[0])
+    if upper is None:
+        raise DualDivergence("no multiplier within the probe budget met the surrogate")
+    return upper[0]  # feasible side if the tolerance window was never hit
 
 
 def dual_bisection(ms: MajorizerSet, duals_in: DualState) -> DualState:
     """Coordinate ascent on the surrogate dual: each multiplier is either
-    slack (set to zero) or bisected until its constraint sits in (-TOL, 0].
+    slack (set to zero) or solved, warm-started at its incoming value,
+    until its constraint sits in (-TOL, 0].
 
     Sweeps repeat until the Lagrangian value at the primal minimizer is
     stable to relative tolerance TOL, with a hard cap of 50 sweeps.
@@ -209,30 +286,23 @@ def dual_bisection(ms: MajorizerSet, duals_in: DualState) -> DualState:
     lam = duals_in.lam.copy()
     vth = duals_in.vartheta
     trace: List[float] = []
+    s_g = ms.u_g.real ** 2 + ms.u_g.imag ** 2
+    s_p = ms.u_p.real ** 2 + ms.u_p.imag ** 2
+    s_g_max = s_g.max(axis=1)
+    s_p_max = float(s_p.max())
 
     for _ in range(MAX_DUAL_SWEEPS):
         for k in range(lam.size):
             # other multipliers frozen: the probe direction is u_g[k] alone
             others = lam.copy()
             others[k] = 0.0
-            v_base = _combined(ms, others, vth)
-            u_k = ms.u_g[k]
-            k_k = ms.k_g[k]
+            probe = _ConstraintProbe(_combined(ms, others, vth), ms.u_g[k],
+                                     s_g[k], s_g_max[k], ms.k_g[k])
+            lam[k] = _solve_multiplier(probe, lam[k])
 
-            def sinr_at(x):
-                d = fast_unit(-(v_base + x * u_k))
-                return 2.0 * float(np.real(np.vdot(u_k, d))) + k_k
-
-            lam[k] = _solve_multiplier(sinr_at, TOL)
-
-        v_base = _combined(ms, lam, 0.0)
-        u_p, k_p = ms.u_p, ms.k_p
-
-        def power_at(x):
-            d = fast_unit(-(v_base + x * u_p))
-            return 2.0 * float(np.real(np.vdot(u_p, d))) + k_p
-
-        vth = _solve_multiplier(power_at, TOL)
+        probe = _ConstraintProbe(_combined(ms, lam, 0.0), ms.u_p, s_p, s_p_max,
+                                 ms.k_p)
+        vth = _solve_multiplier(probe, vth)
         value = _lagrangian_at_minimizer(ms, lam, vth)
         trace.append(value)
         if len(trace) >= 2 and abs(trace[-1] - trace[-2]) <= TOL * max(abs(trace[-1]), 1e-30):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from isac_pareto.channel import ArrayGeometry, ChannelSet, steering_vector
+from isac_pareto.channel import ArrayGeometry, ChannelSet, generate_channels, steering_vector
 from isac_pareto.model import (
     HybridPrecoder,
     SystemConfig,
@@ -51,6 +51,37 @@ class TestSystemConfig:
         # configuration is rejected when built, not inside the first probe
         with pytest.raises(ValueError, match="error probabilities"):
             SystemConfig(n_tx=16, n_rf=3, eps=eps)
+
+    # channel fields that generate_channels or ideal_radar_precoder cannot
+    # use are rejected when the configuration is built, not inside a solve
+    @pytest.mark.parametrize("fields, match", [
+        (dict(distances_m=(30.0,)), "distances_m"),            # n_cu = 2
+        (dict(distances_m=(30.0, 0.0)), "distances"),
+        (dict(distances_m=(-5.0, 40.0)), "distances"),
+        (dict(n_clu=0), "cluster"),
+        (dict(n_ray=0), "cluster"),
+        (dict(angular_spread_deg=-1.0), "angular spread"),
+        (dict(cu_angles_deg=(30.0,)), "cu_angles_deg"),
+        (dict(cu_angles_deg=(30.0, 60.0, 10.0)), "cu_angles_deg"),
+        (dict(shadow_std_db=-0.5), "shadowing"),
+        (dict(target_angles_deg=(-95.0, -20.0)), "target angles"),
+        (dict(target_angles_deg=(-60.0, 90.5)), "target angles"),
+    ])
+    def test_channel_fields_rejected(self, fields, match):
+        with pytest.raises(ValueError, match=match):
+            SystemConfig(**fields)
+
+    @pytest.mark.parametrize("fields", [
+        dict(distances_m=(30.0, 40.0)),
+        dict(cu_angles_deg=None, distances_m=None),
+        dict(angular_spread_deg=0.0, shadow_std_db=0.0, n_clu=1, n_ray=1),
+        dict(target_angles_deg=(-90.0, 90.0)),
+    ])
+    def test_channel_field_edges_accepted(self, fields):
+        cfg = SystemConfig(**fields)
+        ch = generate_channels(cfg.with_updates(n_tx=8), Rng(3, 0))
+        assert ch.h.shape == (cfg.n_cu, 8)
+        assert ch.cu_angles.shape == ch.distances.shape == (cfg.n_cu,)
 
 
 class TestIdealRadarPrecoder:

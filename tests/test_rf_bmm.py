@@ -1,18 +1,23 @@
 import numpy as np
 import pytest
 
+from isac_pareto import rf_bmm
 from isac_pareto.channel import ArrayGeometry, ChannelSet
 from isac_pareto.model import ideal_radar_precoder
-from isac_pareto.numerics import Rng, phase_project
+from isac_pareto.numerics import Rng, fast_unit, phase_project
 from isac_pareto.quadratics import build_quadratics
 from isac_pareto.rf_bmm import (
+    TOL,
+    DualDivergence,
     DualState,
     InfeasibleStart,
+    MajorizerSet,
     bmm_solve,
     dual_bisection,
     majorize,
     primal_step,
 )
+from isac_pareto.tlbs import SolveOptions, _rf_step
 from oracles import random_row_orthonormal, random_unit_modulus
 
 
@@ -246,3 +251,217 @@ class TestBmmSolve:
             pytest.skip("sampled point unexpectedly feasible")
         with pytest.raises(InfeasibleStart):
             bmm_solve(q, d0)
+
+
+def scalar_instance(gen, dim=24):
+    v = gen.normal(size=dim) + 1j * gen.normal(size=dim)
+    u = gen.normal(size=dim) + 1j * gen.normal(size=dim)
+    return v, u, float(gen.normal())
+
+
+def closed_form(v, u, k):
+    s = u.real ** 2 + u.imag ** 2
+    return rf_bmm._ConstraintProbe(v, u, s, float(s.max()), k)
+
+
+def probe_reference(v, u, k, x):
+    """The multiplier probe evaluated directly through fast_unit."""
+    return 2.0 * float(np.real(np.vdot(u, fast_unit(-(v + x * u))))) + k
+
+
+class TestConstraintProbe:
+    @staticmethod
+    def scale(u, k):
+        # the largest magnitude g can take: |k| + 2 * ||u||_1
+        return abs(k) + 2.0 * np.abs(u).sum()
+
+    def test_matches_fast_unit_probe(self):
+        gen = Rng(70).generator()
+        for _ in range(50):
+            v, u, k = scalar_instance(gen)
+            x = 10.0 ** gen.uniform(-3.0, 3.0)
+            value, slope = closed_form(v, u, k)(x)
+            assert abs(value - probe_reference(v, u, k, x)) <= 1e-12 * self.scale(u, k)
+            assert slope < 0.0
+
+    def test_zero_entry_matches_fast_unit(self):
+        # fast_unit maps an entry with v + x*u = 0 to 1; the closed form
+        # gives that entry the same term and reports no slope
+        gen = Rng(71).generator()
+        for _ in range(50):
+            v, u, k = scalar_instance(gen)
+            x = 10.0 ** gen.uniform(-3.0, 3.0)
+            v[3] = -(x * u[3])
+            assert v[3] + x * u[3] == 0
+            value, slope = closed_form(v, u, k)(x)
+            assert abs(value - probe_reference(v, u, k, x)) <= 1e-12 * self.scale(u, k)
+            assert np.isnan(slope)
+
+    def test_value_at_zero(self):
+        gen = Rng(72).generator()
+        v, u, k = scalar_instance(gen)
+        assert closed_form(v, u, k).at_zero() == closed_form(v, u, k)(0.0)
+        v[5] = 0.0  # fast_unit(-v) maps this entry to 1
+        got, slope = closed_form(v, u, k).at_zero()
+        assert np.isnan(slope)
+        assert abs(got - probe_reference(v, u, k, 0.0)) <= 1e-12 * self.scale(u, k)
+
+    def test_slope_matches_central_differences(self):
+        gen = Rng(73).generator()
+        for _ in range(20):
+            v, u, k = scalar_instance(gen)
+            probe = closed_form(v, u, k)
+            x = 10.0 ** gen.uniform(-2.0, 2.0)
+            h = 1e-5 * x
+            want = (probe(x + h)[0] - probe(x - h)[0]) / (2.0 * h)
+            assert probe(x)[1] == pytest.approx(want, rel=1e-6, abs=1e-9 * self.scale(u, k))
+
+    def test_nonincreasing_along_grid(self):
+        gen = Rng(74).generator()
+        grid = np.concatenate([[0.0], np.logspace(-4.0, 4.0, 400)])
+        for _ in range(10):
+            v, u, k = scalar_instance(gen)
+            probe = closed_form(v, u, k)
+            values = np.array([probe(x)[0] for x in grid])
+            assert np.all(np.diff(values) <= 1e-13 * self.scale(u, k))
+            assert all(probe(x)[1] <= 0.0 for x in grid)
+
+
+def chain_instances(gen, count):
+    """Feasible starts whose first dual step has an active multiplier."""
+    found = []
+    while len(found) < count:
+        q, _, _ = make_instance(gen, gamma=np.array([1.0, 1.0]), noise=0.3,
+                                p_max=gen.uniform(3.0, 6.0))
+        try:
+            d0 = feasible_start(q, gen, tries=2000)
+        except RuntimeError:
+            continue
+        duals = dual_bisection(majorize(q, d0), DualState.zeros(q.active.size))
+        if np.any(duals.lam > 0) or duals.vartheta > 0:
+            found.append((q, d0))
+    return found
+
+
+def surrogates_feasible(ms, duals):
+    d_star = primal_step(ms, duals)
+    values = [ms.surrogate_sinr(d_star, k) for k in range(duals.lam.size)]
+    return max(values + [ms.surrogate_power(d_star)]) <= 1e-12
+
+
+class TestWarmStart:
+    def test_same_windows_and_slack_set_as_cold_start(self, monkeypatch):
+        # every multiplier solve ends slack at exactly 0 or with its surrogate
+        # in (-TOL, 0]; warm and cold starts agree on which are slack
+        solves = []
+        solve = rf_bmm._solve_multiplier
+
+        def recorded_solve(probe, x_start):
+            out = solve(probe, x_start)
+            solves.append((probe, x_start, out))
+            return out
+
+        monkeypatch.setattr(rf_bmm, "_solve_multiplier", recorded_solve)
+        gen = Rng(75).generator()
+        for q, d in chain_instances(gen, 8):
+            duals = DualState.zeros(q.active.size)
+            for _ in range(4):  # MM iterations, each warm-started
+                ms = majorize(q, d)
+                cold = dual_bisection(ms, DualState.zeros(q.active.size))
+                duals = dual_bisection(ms, duals)
+                assert surrogates_feasible(ms, cold) and surrogates_feasible(ms, duals)
+                np.testing.assert_array_equal(duals.lam == 0.0, cold.lam == 0.0)
+                assert (duals.vartheta == 0.0) == (cold.vartheta == 0.0)
+                np.testing.assert_allclose(duals.lam, cold.lam, rtol=1e-4)
+                assert duals.vartheta == pytest.approx(cold.vartheta, rel=1e-4)
+                d = primal_step(ms, duals)
+        warm_active = 0
+        for probe, x_start, out in solves:
+            if out == 0.0:
+                assert probe.at_zero()[0] <= 0.0
+            else:
+                assert -TOL < probe(out)[0] <= 0.0
+                warm_active += x_start > 0.0
+        assert warm_active >= 20
+
+    def test_few_evaluations_per_active_multiplier(self, monkeypatch):
+        # plain bisection from a cold bracket takes about 26 evaluations per
+        # active multiplier; the warm-started Newton steps take a few
+        evaluations = []
+        solved = []
+        probe_call = rf_bmm._ConstraintProbe.__call__
+        probe_zero = rf_bmm._ConstraintProbe.at_zero
+        solve = rf_bmm._solve_multiplier
+
+        def counted_call(self, x):
+            evaluations.append(x)
+            return probe_call(self, x)
+
+        def counted_zero(self):
+            evaluations.append(0.0)
+            return probe_zero(self)
+
+        def counted_solve(probe, x_start):
+            before = len(evaluations)
+            out = solve(probe, x_start)
+            if out > 0.0:
+                solved.append(len(evaluations) - before)
+            return out
+
+        monkeypatch.setattr(rf_bmm._ConstraintProbe, "__call__", counted_call)
+        monkeypatch.setattr(rf_bmm._ConstraintProbe, "at_zero", counted_zero)
+        monkeypatch.setattr(rf_bmm, "_solve_multiplier", counted_solve)
+        (q, d0), = chain_instances(Rng(76).generator(), 1)
+        result = bmm_solve(q, d0, max_iter=20)
+        assert result.iterations >= 10
+        assert len(solved) >= 20
+        assert np.mean(solved) <= 4.5
+        assert max(solved) <= 10
+
+
+def unattainable_set(gen, dim, n_active=2):
+    """Surrogates whose first SINR constraint no multiplier can meet.
+
+    As x grows the probe tends to k_g - 2*||u_g||_1, so k_g above that
+    limit keeps the surrogate positive for every multiplier.
+    """
+    u_g = gen.normal(size=(n_active, dim)) + 1j * gen.normal(size=(n_active, dim))
+    k_g = np.full(n_active, -10.0 * dim)
+    k_g[0] = 2.0 * np.abs(u_g[0]).sum() + 0.5
+    return MajorizerSet(
+        anchor=random_unit_modulus(gen, dim),
+        u_obj=gen.normal(size=dim) + 1j * gen.normal(size=dim), k_obj=0.0,
+        u_g=u_g, k_g=k_g,
+        u_p=0.1 * (gen.normal(size=dim) + 1j * gen.normal(size=dim)), k_p=-10.0 * dim,
+    )
+
+
+class TestDualDivergence:
+    def test_unattainable_surrogate_raises(self, monkeypatch):
+        probed = []
+        probe_call = rf_bmm._ConstraintProbe.__call__
+
+        def recorded_call(self, x):
+            probed.append(x)
+            return probe_call(self, x)
+
+        monkeypatch.setattr(rf_bmm._ConstraintProbe, "__call__", recorded_call)
+        gen = Rng(77).generator()
+        ms = unattainable_set(gen, 12)
+        for duals in (DualState.zeros(2), DualState(lam=np.array([3.0, 0.0]))):
+            probed.clear()
+            with pytest.raises(DualDivergence):  # a warm start does not hide it
+                dual_bisection(ms, duals)
+            # raised once the bracket reaches 2^64, not after the probe budget
+            assert max(probed) == 2.0 ** rf_bmm.MAX_BRACKET_DOUBLINGS
+            assert len(probed) <= rf_bmm.MAX_BRACKET_DOUBLINGS + 3
+
+    def test_rf_step_reports_infeasible(self, monkeypatch):
+        gen = Rng(78).generator()
+        q, _, _ = make_instance(gen)
+        d0 = feasible_start(q, gen)
+        opts = SolveOptions(rf_method="bmm")
+        assert _rf_step(q, d0, opts) is not None
+        ms = unattainable_set(gen, q.d_dim, q.active.size)
+        monkeypatch.setattr(rf_bmm, "majorize", lambda q, d: ms)
+        assert _rf_step(q, d0, opts) is None

@@ -59,10 +59,6 @@ class ChannelSet:
         if np.any(np.all(self.h == 0, axis=1)):
             raise ValueError("a channel vector is identically zero")
 
-    @property
-    def n_tx(self) -> int:
-        return self.h.shape[1]
-
 
 def steering_vector(angle_deg: float, geom: ArrayGeometry) -> np.ndarray:
     """Unit-norm ULA response toward `angle_deg` (broadside = 0).

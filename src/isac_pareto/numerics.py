@@ -1,7 +1,8 @@
 """Scalar special functions, deterministic random streams, and phase projection.
 
-These are the shared numerical primitives: the inverse Gaussian Q-function
-used by the short-packet rate model, a bracketed bisection root finder, the
+These are the shared numerical primitives: the Gaussian Q-function and its
+inverse used by the short-packet rate model (both on scipy.special's erfc
+and ndtri), a bracketed bisection root finder, the
 unit-modulus phase projection used by both RF precoder solvers (exact, plus
 a one-pass variant for interior probe points), and a
 counter-based random generator that gives every Monte-Carlo trial its own
@@ -14,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
+from scipy.special import erfc, ndtri
 
 __all__ = [
     "Rng",
@@ -27,25 +28,6 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
-_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-
-# Acklam's rational approximation of the standard normal quantile.
-_ACKLAM_A = (
-    -3.969683028665376e01, 2.209460984245205e02, -2.759285104469687e02,
-    1.383577518672690e02, -3.066479806614716e01, 2.506628277459239e00,
-)
-_ACKLAM_B = (
-    -5.447609879822406e01, 1.615858368580409e02, -1.556989798598866e02,
-    6.680131188771972e01, -1.328068155288572e01,
-)
-_ACKLAM_C = (
-    -7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e00,
-    -2.549732539343734e00, 4.374664141464968e00, 2.938163982698783e00,
-)
-_ACKLAM_D = (
-    7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e00,
-    3.754408661907416e00,
-)
 
 
 @dataclass(frozen=True)
@@ -90,47 +72,15 @@ def q_function(x: float) -> float:
     return 0.5 * erfc(x / _SQRT2)
 
 
-def _normal_quantile_guess(p: float) -> float:
-    """Acklam's rational approximation for the standard normal quantile."""
-    a, b, c, d = _ACKLAM_A, _ACKLAM_B, _ACKLAM_C, _ACKLAM_D
-    p_low = 0.02425
-    if p < p_low:
-        q = math.sqrt(-2.0 * math.log(p))
-        num = ((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]
-        den = (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
-        return num / den
-    if p > 1.0 - p_low:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        num = ((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]
-        den = (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
-        return -num / den
-    q = p - 0.5
-    r = q * q
-    num = (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q
-    den = ((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0
-    return num / den
-
-
 def inv_q(p: float) -> float:
     """Inverse Gaussian Q-function: the x with Q(x) = p.
 
-    A rational initial guess is polished with Newton steps on the
-    complementary error function, giving absolute error below 1e-10
-    across the full open interval (0, 1).
+    Q^{-1}(p) = -Phi^{-1}(p), with the standard normal quantile taken from
+    scipy.special.ndtri (double precision across the open interval (0, 1)).
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"inv_q requires p in (0, 1), got {p}")
-    if p == 0.5:
-        return 0.0
-    # Q^{-1}(p) = -Phi^{-1}(p)
-    x = -_normal_quantile_guess(p)
-    for _ in range(3):
-        residual = q_function(x) - p
-        pdf = _INV_SQRT_2PI * math.exp(-0.5 * x * x)
-        if pdf == 0.0:
-            break
-        x += residual / pdf
-    return x
+    return float(-ndtri(p))
 
 
 def bracketed_root(f, bracket: RootBracket) -> float:

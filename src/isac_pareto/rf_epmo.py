@@ -54,12 +54,18 @@ ARMIJO_MAX_BACKTRACKS = 40
 
 @dataclass(frozen=True)
 class PenaltyConfig:
-    """Penalty schedule and iteration caps of the manifold solver."""
+    """Penalty schedule and iteration caps of the manifold solver.
+
+    The ramp is steep (mu grows tenfold per round) and short: inside the
+    coordinate descent each RF subproblem is re-solved many times, and a
+    fast escalation with an early coarse phase wins without hurting the
+    converged point.
+    """
 
     mu0: float = 10.0
-    c: float = 0.5                 # growth divisor: mu <- mu / c per round
+    c: float = 0.1                 # growth divisor: mu <- mu / c per round
     tol_violation: float = 1e-8    # on the summed squared hinges
-    max_outer: int = 12
+    max_outer: int = 8
     max_inner: int = 400
 
     def __post_init__(self):
@@ -67,6 +73,8 @@ class PenaltyConfig:
             raise ValueError("initial penalty factor must exceed 1")
         if not 0.0 < self.c < 1.0:
             raise ValueError("contraction constant must lie in (0, 1)")
+        if self.max_outer < 1 or self.max_inner < 1:
+            raise ValueError("max_outer and max_inner must be at least 1")
 
 
 @dataclass
@@ -158,7 +166,6 @@ def epmo_solve(
     d = phase_project(np.asarray(d_init, dtype=np.complex128))
     mu = pcfg.mu0
     trace: List[dict] = []
-    rounds = 0
 
     # interim escalation rounds only need a coarse stationary point: the
     # weight is about to change anyway; the accepted round gets the full
@@ -177,7 +184,7 @@ def epmo_solve(
             break  # escalation stopped shrinking the violation: unattainable
         prev_violation = violation
         mu = mu / pcfg.c
-    return EpmoResult(d=d, feasible=False, violation=constraint_violation(q, d),
+    return EpmoResult(d=d, feasible=False, violation=violation,
                       trace=trace, outer_rounds=rounds)
 
 

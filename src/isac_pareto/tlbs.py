@@ -80,12 +80,7 @@ class SolveOptions:
     tol_rate: float = 0.01       # outer bracket width, nats
     max_bcd: int = 50
     seed: int = 0
-    # faster escalation than the module default: inside the coordinate
-    # descent each RF subproblem is re-solved many times, so a steep ramp
-    # with an early coarse phase wins without hurting the converged point
-    epmo: PenaltyConfig = field(
-        default_factory=lambda: PenaltyConfig(c=0.1, max_outer=8)
-    )
+    epmo: PenaltyConfig = field(default_factory=PenaltyConfig)
 
     def __post_init__(self):
         if self.rf_method not in RF_METHODS:
@@ -94,6 +89,10 @@ class SolveOptions:
             raise ValueError(f"rate_mode must be one of {RATE_MODES}")
         if self.tol_bcd <= 0 or self.tol_rate <= 0:
             raise ValueError("tolerances must be positive")
+        if self.max_bcd < 1:
+            raise ValueError("max_bcd must be at least 1")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError("seed must fit in 64 bits")
 
 
 @dataclass
@@ -258,17 +257,6 @@ def inner_bcd(
             q = build_quadratics(f_bb, u, ch, rs, gammas, cfg.noise, cfg.p_max)
             d = phase_project(q.vec(f_rf))
             d_new = _rf_step(q, d, opts)
-            if d_new is None and iteration == 0:
-                # last resort at entry: baseband repair again (the RF ladder
-                # may have been asked for an unreachable threshold)
-                rescued = _bb_step(f_rf, f_bb, u, ch, rs, gammas, cfg)
-                if rescued is None:
-                    return InnerResult(False, None, np.inf, trace,
-                                       "RF and baseband stages both infeasible")
-                f_bb = rescued
-                q = build_quadratics(f_bb, u, ch, rs, gammas, cfg.noise, cfg.p_max)
-                d = phase_project(q.vec(f_rf))
-                d_new = _rf_step(q, d, opts)
             if d_new is None:
                 return InnerResult(False, None, np.inf, trace, "RF stage infeasible")
             incoming_ok = _is_feasible(q.constraint_margins(d))
@@ -340,7 +328,6 @@ def tlbs_solve(
     ch: ChannelSet,
     rs: RadarSpec,
     opts: SolveOptions,
-    rng: Optional[Rng] = None,
 ) -> ParetoPoint:
     """Outer bisection on the sum rate around the inner RBE minimization.
 
@@ -351,9 +338,8 @@ def tlbs_solve(
     feasible point (even split initially); allocation afterwards uses the
     SINRs the converged precoder actually achieves.
     """
-    rng = rng or Rng(opts.seed)
     scheme = f"{'tlbs' if opts.rate_mode == 'fbl' else 'ibl'}_{opts.rf_method}"
-    init = init_precoder(cfg, ch, rs, rng, opts.rf_method)
+    init = init_precoder(cfg, ch, rs, Rng(opts.seed), opts.rf_method)
 
     rate_low = 0.0
     rate_upper_init = rate_upper_bound(cfg, ch)
@@ -408,11 +394,10 @@ def tlbs_solve(
     )
 
 
-def probe_rate(cfg, ch, rs, opts, rate, rng: Optional[Rng] = None,
+def probe_rate(cfg, ch, rs, opts, rate,
                incumbent_beta: Optional[np.ndarray] = None) -> bool:
     """Re-run one bisection probe at an arbitrary rate (bracketing checks)."""
-    rng = rng or Rng(opts.seed)
-    init = init_precoder(cfg, ch, rs, rng, opts.rf_method)
+    init = init_precoder(cfg, ch, rs, Rng(opts.seed), opts.rf_method)
     if incumbent_beta is None:
         incumbent_beta = _even_split(cfg.frame_budget, cfg.n_cu)
     accepted, _ = _attempt_rate(rate, cfg, ch, rs, init, opts, incumbent_beta)

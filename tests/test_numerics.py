@@ -1,3 +1,5 @@
+from statistics import NormalDist
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,12 @@ class TestInvQ:
     def test_upper_half_is_negative(self):
         assert inv_q(0.9) < 0
         assert abs(q_function(inv_q(0.9)) - 0.9) < 1e-12
+
+    def test_upper_half_matches_normal_dist(self):
+        # p in [0.5, 1): Q^{-1}(p) = -Phi^{-1}(p), against the standard library
+        for p in np.linspace(0.5, 1.0 - 1e-9, 201):
+            p = float(p)
+            assert abs(inv_q(p) + NormalDist().inv_cdf(p)) <= 1e-12
 
     @pytest.mark.parametrize("p", [0.0, 1.0, -0.1, 1.5])
     def test_domain_errors(self, p):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from isac_pareto import rf_bmm
+from isac_pareto import rf_bmm, tlbs
 from isac_pareto.channel import ArrayGeometry, ChannelSet
 from isac_pareto.model import ideal_radar_precoder
 from isac_pareto.numerics import Rng, fast_unit, phase_project
@@ -465,3 +465,27 @@ class TestDualDivergence:
         ms = unattainable_set(gen, q.d_dim, q.active.size)
         monkeypatch.setattr(rf_bmm, "majorize", lambda q, d: ms)
         assert _rf_step(q, d0, opts) is None
+
+
+class TestRfStepRepair:
+    @pytest.mark.parametrize("seed", [201, 202, 203])
+    def test_infeasible_start_repaired_before_bmm(self, seed, monkeypatch):
+        repairs = []
+        epmo_solve = tlbs.epmo_solve
+
+        def recorded(q, d, pcfg):
+            result = epmo_solve(q, d, pcfg)
+            repairs.append((pcfg.tol_violation, result.feasible))
+            return result
+
+        monkeypatch.setattr(tlbs, "epmo_solve", recorded)
+        gen = Rng(seed).generator()
+        q, _, _ = make_instance(gen, gamma=np.full(2, 2.0))
+        d0 = random_unit_modulus(gen, q.d_dim)
+        assert rf_bmm._worst_violation(q, d0) > TOL
+        d = _rf_step(q, d0, SolveOptions(rf_method="bmm"))
+        # the repair is asked for residuals well inside BMM's own gate
+        assert repairs == [((0.5 * TOL) ** 2, True)]
+        assert d is not None
+        assert np.max(np.abs(np.abs(d) - 1.0)) < 1e-14
+        assert rf_bmm._worst_violation(q, d) <= TOL

@@ -247,3 +247,25 @@ class TestEpmoSolve:
         result = epmo_solve(q, d0, PenaltyConfig(max_outer=3, max_inner=60))
         assert not result.feasible
         assert result.violation > PenaltyConfig().tol_violation
+
+
+class TestPenaltyConfig:
+    @pytest.mark.parametrize("fields", [
+        dict(max_outer=0),
+        dict(max_inner=0),
+        dict(max_outer=-1),
+        dict(mu0=1.0),
+        dict(c=1.0),
+        dict(c=0.0),
+    ])
+    def test_invalid_schedule_rejected_when_built(self, fields):
+        with pytest.raises(ValueError):
+            PenaltyConfig(**fields)
+
+    def test_single_round_schedule_accepted(self):
+        gen = Rng(88).generator()
+        q, _, _ = make_instance(gen, gamma=np.array([1e9, 1e9]), noise=10.0, p_max=1e-9)
+        result = epmo_solve(q, random_unit_modulus(gen, q.d_dim),
+                            PenaltyConfig(max_outer=1, max_inner=1))
+        assert not result.feasible and result.outer_rounds == 1
+        assert result.violation == constraint_violation(q, result.d)

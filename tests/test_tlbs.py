@@ -1,12 +1,18 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import isac_pareto
+from isac_pareto import tlbs
 from isac_pareto.channel import generate_channels
 from isac_pareto.fbl import solve_gamma_threshold
 from isac_pareto.model import SystemConfig, fbl_rate, ideal_radar_precoder, rbe, sinr
 from isac_pareto.numerics import Rng, phase_project
+from isac_pareto.rf_epmo import PenaltyConfig
 from isac_pareto.tlbs import (
     ParetoPoint,
     SolveOptions,
@@ -170,6 +176,66 @@ class TestInnerBcd:
                         gammas=gammas, betas=np.array([64, 64]))
         assert not res.feasible
         assert res.precoder is None
+
+    def test_unreachable_thresholds_take_one_baseband_solve(self, monkeypatch):
+        # the entry repair is the only cone program: once it has failed, an
+        # RF stage that fails too ends the probe without another solve
+        calls = []
+        solve_bb = tlbs.solve_bb
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return solve_bb(*args, **kwargs)
+
+        monkeypatch.setattr(tlbs, "solve_bb", counted)
+        cfg, ch, rs = scenario()
+        init = init_precoder(cfg, ch, rs, Rng(5), "epmo")
+        opts = SolveOptions(rf_method="epmo",
+                            epmo=PenaltyConfig(max_outer=4, max_inner=80))
+        res = inner_bcd(20.0, cfg, ch, rs, init, opts,
+                        gammas=np.full(2, 1e12), betas=np.array([64, 64]))
+        assert not res.feasible
+        assert res.reason == "RF stage infeasible"
+        assert len(calls) == 1
+
+
+class TestSolveOptions:
+    @pytest.mark.parametrize("fields", [
+        dict(max_bcd=0),
+        dict(max_bcd=-3),
+        dict(seed=-1),
+        dict(seed=2**64),
+        dict(tol_bcd=0.0),
+        dict(tol_rate=-1.0),
+        dict(rf_method="sdr"),
+        dict(rate_mode="shannon"),
+    ])
+    def test_invalid_options_rejected_when_built(self, fields):
+        with pytest.raises(ValueError):
+            SolveOptions(**fields)
+
+    @pytest.mark.parametrize("fields", [dict(max_bcd=1), dict(seed=0),
+                                        dict(seed=2**64 - 1)])
+    def test_edges_accepted(self, fields):
+        SolveOptions(**fields)
+
+    def test_default_penalty_schedule(self):
+        assert SolveOptions().epmo == PenaltyConfig()
+
+
+def test_import_loads_no_scipy_subpackage_but_special():
+    # importing the solver stack stays cheap: scipy.optimize alone would add
+    # about 100 ms to every fresh process, scipy.stats about 330 ms
+    code = ("import sys, isac_pareto.tlbs\n"
+            "for name, mod in sorted(sys.modules.items()):\n"
+            "    public = name.count('.') == 1 and not name[6:].startswith('_')\n"
+            "    if name.startswith('scipy.') and public and hasattr(mod, '__path__'):\n"
+            "        print(name)\n")
+    src = os.path.dirname(os.path.dirname(isac_pareto.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["scipy.special"]
 
 
 class TestTlbsSolve:

@@ -106,10 +106,6 @@ def generate_channels(cfg, rng: Rng) -> ChannelSet:
     with the sqrt(N_t / (N_clu * N_ray)) normalization.
     """
     gen = rng.generator()
-    return _generate_channels_with(cfg, gen)
-
-
-def _generate_channels_with(cfg, gen: np.random.Generator) -> ChannelSet:
     geom = ArrayGeometry(cfg.n_tx, cfg.spacing_over_lambda)
     m_users = cfg.n_cu
     n_paths = cfg.n_clu * cfg.n_ray

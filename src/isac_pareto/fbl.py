@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .model import fbl_rate
+from .model import dispersion
 from .numerics import RootBracket, bracketed_root, inv_q
 
 __all__ = [
@@ -99,8 +99,7 @@ def min_blocklength(gamma: float, target: float, eps: float) -> float:
             f"rate target {target:.6g} nats exceeds the Shannon rate "
             f"{math.log1p(gamma):.6g} at SINR {gamma:.6g}"
         )
-    v = 1.0 - 1.0 / (1.0 + gamma) ** 2
-    return (math.sqrt(v) * inv_q(eps) / headroom) ** 2
+    return (math.sqrt(dispersion(gamma)) * inv_q(eps) / headroom) ** 2
 
 
 def allocate_blocklengths(

@@ -13,6 +13,7 @@ the reporting boundary.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -29,6 +30,7 @@ __all__ = [
     "sinr",
     "effective_sinr",
     "constraint_margins",
+    "worst_margin",
     "dispersion",
     "shannon_rate",
     "fbl_rate",
@@ -82,14 +84,18 @@ class SystemConfig:
             raise ValueError("rate fractions must lie in (0, 1]")
         if abs(sum(self.eta) - 1.0) > 1e-12:
             raise ValueError(f"rate fractions must sum to 1, got {sum(self.eta)}")
-        if self.p_max <= 0 or self.noise <= 0:
-            raise ValueError("p_max and noise must be positive")
+        if not (0 < self.p_max < math.inf and 0 < self.noise < math.inf):
+            raise ValueError("p_max and noise must be positive and finite")
+        if not self.e_max >= 0:  # +inf means no sensing cap
+            raise ValueError("e_max must be nonnegative")
+        if not isinstance(self.frame_budget, (int, np.integer)):
+            raise ValueError("frame budget must be an integer number of symbols")
         if self.frame_budget < self.n_cu:
             raise ValueError("frame budget must cover at least one symbol per user")
         if len(self.target_angles_deg) != self.n_tar:
             raise ValueError("target_angles_deg must have one entry per target")
-        if self.n_tar > self.n_rf:
-            raise ValueError("need n_tar <= n_rf so the auxiliary matrix is wide")
+        if not 1 <= self.n_tar <= self.n_rf:
+            raise ValueError("need 1 <= n_tar <= n_rf so the auxiliary matrix is wide")
         if any(not -90.0 <= a <= 90.0 for a in self.target_angles_deg):
             raise ValueError("target angles must lie in [-90, 90] degrees")
         # channel fields, checked here rather than inside generate_channels
@@ -106,6 +112,8 @@ class SystemConfig:
             raise ValueError("angular spread must be nonnegative")
         if not self.shadow_std_db >= 0:
             raise ValueError("shadowing standard deviation must be nonnegative")
+        if not self.spacing_over_lambda > 0:
+            raise ValueError("antenna spacing must be positive")
 
     @property
     def geometry(self) -> ArrayGeometry:
@@ -200,6 +208,12 @@ def constraint_margins(eff: np.ndarray, h: np.ndarray, gamma: np.ndarray,
     return 1.0 - achieved / gamma[active], power_excess
 
 
+def worst_margin(margins) -> float:
+    """Largest entry of a `constraint_margins` pair: feasible iff <= 0."""
+    shortfall, power_excess = margins
+    return float(np.max(shortfall, initial=power_excess))
+
+
 def dispersion(gamma: float):
     """Channel dispersion 1 - 1/(1+gamma)^2 of the normal approximation."""
     gamma = np.asarray(gamma, dtype=float)
@@ -227,7 +241,7 @@ def fbl_rate(gamma: float, beta, eps: float):
     if np.any(beta_arr < 1):
         raise ValueError("blocklength must be >= 1")
     penalty = np.sqrt(dispersion(gamma) / beta_arr) * inv_q(eps)
-    out = np.log1p(gamma) - penalty
+    out = shannon_rate(gamma) - penalty
     return float(out) if out.ndim == 0 else out
 
 

@@ -1,33 +1,28 @@
 """Scalar special functions, deterministic random streams, and phase projection.
 
-These are the shared numerical primitives: the Gaussian Q-function and its
-inverse used by the short-packet rate model (both on scipy.special's erfc
-and ndtri), a bracketed bisection root finder, the
-unit-modulus phase projection used by both RF precoder solvers (exact, plus
-a one-pass variant for interior probe points), and a
-counter-based random generator that gives every Monte-Carlo trial its own
-reproducible stream.
+These are the shared numerical primitives: the inverse Gaussian Q-function
+used by the short-packet rate model (on scipy.special's ndtri), a bracketed
+bisection root finder, the unit-modulus phase projection used by both RF
+precoder solvers (exact, plus a one-pass variant for interior probe
+points), and a counter-based random generator that gives every Monte-Carlo
+trial its own reproducible stream.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc, ndtri
+from scipy.special import ndtri
 
 __all__ = [
     "Rng",
     "RootBracket",
     "inv_q",
-    "q_function",
     "bracketed_root",
     "phase_project",
     "fast_unit",
 ]
-
-_SQRT2 = math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -65,11 +60,6 @@ class RootBracket:
             raise ValueError(f"bracket requires lo < hi, got [{self.lo}, {self.hi}]")
         if not self.tol > 0:
             raise ValueError("tol must be positive")
-
-
-def q_function(x: float) -> float:
-    """Gaussian tail probability Q(x) = P(Z > x)."""
-    return 0.5 * erfc(x / _SQRT2)
 
 
 def inv_q(p: float) -> float:

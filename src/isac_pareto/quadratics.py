@@ -74,7 +74,10 @@ class QuadraticForms:
 
     def objective(self, d: np.ndarray) -> float:
         """RBE as a function of d; nonnegative by construction."""
-        diff = self.mat(d) @ self.f_bb - self.f_r_u
+        return self._rbe(self.mat(d) @ self.f_bb)
+
+    def _rbe(self, eff: np.ndarray) -> float:
+        diff = eff - self.f_r_u
         return float(np.real(np.vdot(diff, diff)))
 
     def constraint_margins(self, d: np.ndarray):
@@ -87,20 +90,22 @@ class QuadraticForms:
         sharing one composite-precoder product; the hot path of the penalty
         solver."""
         eff = self.mat(d) @ self.f_bb
-        diff = eff - self.f_r_u
-        objective = float(np.real(np.vdot(diff, diff)))
+        _, sinr_res, power_res = self.residuals(eff)
+        return self._rbe(eff), sinr_res, power_res
+
+    def residuals(self, eff: np.ndarray):
+        """(cross gains t = H^H F_rf F_bb, normalized SINR residuals of the
+        active users, normalized power residual) of the composite precoder
+        eff; each residual is feasible iff <= 0."""
         power_res = (float(np.real(np.vdot(eff, eff))) - self.p_max) / self.p_max
-        if self.active.size:
-            t = self.h.conj() @ eff
-            powers = np.abs(t) ** 2
-            totals = powers.sum(axis=1)
-            sig = powers[self.active, self.active]
-            interference = totals[self.active] - sig
-            sinr_res = (interference - sig / self.gamma[self.active]
-                        + self.noise) / self.noise
-        else:
-            sinr_res = np.zeros(0)
-        return objective, sinr_res, power_res
+        t = self.h.conj() @ eff
+        powers = np.abs(t) ** 2
+        totals = powers.sum(axis=1)
+        sig = powers[self.active, self.active]
+        interference = totals[self.active] - sig
+        sinr_res = (interference - sig / self.gamma[self.active]
+                    + self.noise) / self.noise
+        return t, sinr_res, power_res
 
     # ----- factored matrix-vector products -----
 
@@ -110,10 +115,13 @@ class QuadraticForms:
 
     def delta_dot(self, d: np.ndarray, m: int) -> np.ndarray:
         """Delta_m @ d through the rank-structured factors."""
-        t = self.h[m].conj() @ self.mat(d) @ self.f_bb
+        return self.delta_from_gains(self.h[m].conj() @ self.mat(d) @ self.f_bb, m)
+
+    def delta_from_gains(self, t_m: np.ndarray, m: int) -> np.ndarray:
+        """Delta_m @ d from user m's cross gains t_m = h_m^H F_rf F_bb."""
         weights = np.ones(self.m_users)
         weights[m] = -1.0 / self.gamma[m]
-        row = (self.f_bb.conj() * (weights * t)).sum(axis=1)  # (N_RF,)
+        row = (self.f_bb.conj() * (weights * t_m)).sum(axis=1)  # (N_RF,)
         return self.vec(np.outer(self.h[m], row))
 
 

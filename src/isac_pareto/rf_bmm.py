@@ -25,6 +25,7 @@ from typing import List
 
 import numpy as np
 
+from .model import worst_margin
 from .numerics import fast_unit, phase_project
 from .quadratics import QuadraticForms
 
@@ -310,12 +311,6 @@ def dual_bisection(ms: MajorizerSet, duals_in: DualState) -> DualState:
     return DualState(lam=lam, vartheta=vth, lagrangian_trace=trace)
 
 
-def _worst_violation(q: QuadraticForms, d: np.ndarray) -> float:
-    """Worst relative constraint violation (SINR shortfall or power excess)."""
-    shortfall, power_excess = q.constraint_margins(d)
-    return float(np.max(shortfall, initial=power_excess))
-
-
 def bmm_solve(q: QuadraticForms, d_init: np.ndarray, max_iter: int = MAX_ITER) -> BmmResult:
     """Full majorize / dual-bisect / phase-project loop from a feasible start.
 
@@ -325,11 +320,10 @@ def bmm_solve(q: QuadraticForms, d_init: np.ndarray, max_iter: int = MAX_ITER) -
     nonincreasing by construction.
     """
     d = _require_unit_modulus(d_init, "starting point")
-    if _worst_violation(q, d) > TOL:
+    violation = worst_margin(q.constraint_margins(d))
+    if violation > TOL:
         raise InfeasibleStart(
-            f"starting point violates constraints by {_worst_violation(q, d):.3e} "
-            "(relative)"
-        )
+            f"starting point violates constraints by {violation:.3e} (relative)")
     duals = DualState.zeros(q.active.size)
     trace = [q.objective(d)]
     converged = False
@@ -339,7 +333,7 @@ def bmm_solve(q: QuadraticForms, d_init: np.ndarray, max_iter: int = MAX_ITER) -
         duals = dual_bisection(ms, duals)
         candidate = primal_step(ms, duals)
         cand_obj = q.objective(candidate)
-        if cand_obj > trace[-1] or _worst_violation(q, candidate) > TOL:
+        if cand_obj > trace[-1] or worst_margin(q.constraint_margins(candidate)) > TOL:
             converged = True  # stalled at numerical resolution
             break
         d = candidate

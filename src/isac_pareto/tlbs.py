@@ -4,11 +4,12 @@ The inner layer holds the sum rate fixed, converts it to per-user SINR
 thresholds, and minimizes the radar beamforming error by block-coordinate
 descent over the RF stage (majorization-minimization or penalty manifold
 descent), the baseband stage (cone program), and the auxiliary matrix
-(closed-form Procrustes). The outer layer bisects on the sum rate: a
-midpoint is feasible when the converged error fits under the sensing cap,
-the power budget holds, and an integer blocklength split exists for the
-achieved SINRs; the bracket then tightens until its width reaches the rate
-tolerance.
+(closed-form Procrustes). The outer layer bisects on the sum rate. A
+midpoint is feasible when the error that BCD reaches when it stops, on the
+relative tolerance tol_bcd or on the cap max_bcd, fits under the sensing
+cap, the power budget holds, and an integer blocklength split exists for
+the achieved SINRs; the bracket then tightens until its width reaches the
+rate tolerance.
 
 A fully digital mode ("fdb") replaces the hybrid factorization with one
 unconstrained precoder. Any optimal digital precoder lies in the span of
@@ -21,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from dataclasses import replace as dc_replace
 from typing import List, Optional
 
 import numpy as np
@@ -42,13 +42,15 @@ from .model import (
     constraint_margins,
     fbl_rate,
     rbe,
+    shannon_rate,
     sinr,
+    worst_margin,
 )
 from .numerics import Rng, phase_project
 from .quadratics import QuadraticForms, build_quadratics
 from .rf_bmm import TOL as BMM_TOL
 from .rf_bmm import DualDivergence, InfeasibleStart, bmm_solve
-from .rf_epmo import PenaltyConfig, epmo_solve
+from .rf_epmo import epmo_solve
 
 __all__ = [
     "SolveOptions",
@@ -80,15 +82,14 @@ class SolveOptions:
     tol_rate: float = 0.01       # outer bracket width, nats
     max_bcd: int = 50
     seed: int = 0
-    epmo: PenaltyConfig = field(default_factory=PenaltyConfig)
 
     def __post_init__(self):
         if self.rf_method not in RF_METHODS:
             raise ValueError(f"rf_method must be one of {RF_METHODS}")
         if self.rate_mode not in RATE_MODES:
             raise ValueError(f"rate_mode must be one of {RATE_MODES}")
-        if self.tol_bcd <= 0 or self.tol_rate <= 0:
-            raise ValueError("tolerances must be positive")
+        if not (0 < self.tol_bcd < math.inf and 0 < self.tol_rate < math.inf):
+            raise ValueError("tolerances must be positive and finite")
         if self.max_bcd < 1:
             raise ValueError("max_bcd must be at least 1")
         if not 0 <= self.seed < 2**64:
@@ -125,7 +126,7 @@ def rate_upper_bound(cfg: SystemConfig, ch: ChannelSet) -> float:
     """Sum of single-user full-power Shannon rates: provably above any
     achievable sum rate, so it seeds the bisection's upper bracket."""
     gains = np.sum(np.abs(ch.h) ** 2, axis=1)
-    return float(np.sum(np.log1p(cfg.p_max * gains / cfg.noise)))
+    return float(np.sum(shannon_rate(cfg.p_max * gains / cfg.noise)))
 
 
 def fdb_basis(ch: ChannelSet, rs: RadarSpec) -> np.ndarray:
@@ -182,8 +183,7 @@ def _gamma_thresholds(cfg: SystemConfig, rate: float, betas: np.ndarray,
 
 def _is_feasible(margins) -> bool:
     """Whether (SINR shortfalls, power excess) all sit within FEAS_SLACK."""
-    shortfall, power_excess = margins
-    return np.max(shortfall, initial=power_excess) <= FEAS_SLACK
+    return worst_margin(margins) <= FEAS_SLACK
 
 
 def _rf_step(q: QuadraticForms, d_start: np.ndarray, opts: SolveOptions):
@@ -194,11 +194,7 @@ def _rf_step(q: QuadraticForms, d_start: np.ndarray, opts: SolveOptions):
             # the handoff must clear the majorization solver's feasibility
             # gate, so the repair is asked for a squared-hinge sum whose
             # per-constraint residuals sit safely inside it
-            repair_cfg = dc_replace(
-                opts.epmo,
-                tol_violation=min(opts.epmo.tol_violation, (0.5 * BMM_TOL) ** 2),
-            )
-            repair = epmo_solve(q, d_feas, repair_cfg)
+            repair = epmo_solve(q, d_feas, tol_violation=(0.5 * BMM_TOL) ** 2)
             if not repair.feasible:
                 return None
             d_feas = repair.d
@@ -207,7 +203,7 @@ def _rf_step(q: QuadraticForms, d_start: np.ndarray, opts: SolveOptions):
         except (InfeasibleStart, DualDivergence):
             return None
         return result.d
-    result = epmo_solve(q, d_start, opts.epmo)
+    result = epmo_solve(q, d_start)
     if not result.feasible:
         return None
     return result.d
@@ -269,7 +265,8 @@ def inner_bcd(
         f_bb = new_bb
         u = update_u(f_rf, f_bb, rs.f_r)
 
-        error = float(np.linalg.norm(f_rf @ f_bb - rs.f_r @ u) ** 2)
+        pc = HybridPrecoder(f_rf=f_rf, f_bb=f_bb, u=u)
+        error = rbe(pc, rs)
         trace.append(error)
         if error < 1e-15:
             break
@@ -277,8 +274,7 @@ def inner_bcd(
             break
         prev = error
 
-    pc = HybridPrecoder(f_rf=f_rf, f_bb=f_bb, u=u)
-    return InnerResult(True, pc, trace[-1] if trace else np.inf, trace)
+    return InnerResult(True, pc, trace[-1], trace)
 
 
 def _bb_step(f_rf, f_bb, u, ch, rs, gammas, cfg):
@@ -288,7 +284,7 @@ def _bb_step(f_rf, f_bb, u, ch, rs, gammas, cfg):
         sol = solve_bb(inst, f_ref=f_bb)
     except InfeasibleSubproblem:
         return None
-    current = float(np.linalg.norm(f_rf @ f_bb - rs.f_r @ u) ** 2)
+    current = rbe(HybridPrecoder(f_rf=f_rf, f_bb=f_bb, u=u), rs)
     if sol.objective <= current or not _is_feasible(
             constraint_margins(f_rf @ f_bb, ch.h, gammas, cfg.noise, cfg.p_max)):
         return sol.f_bb
@@ -433,12 +429,14 @@ def validate_point(cfg: SystemConfig, ch: ChannelSet, rs: RadarSpec,
         failures.append("blocklengths do not sum to the frame budget")
     elif np.any(np.asarray(point.beta) < 1):
         failures.append("a blocklength is below one symbol")
-    if point.scheme.startswith("tlbs") and point.beta is not None:
+    ibl = point.scheme.startswith("ibl")
+    if ibl or point.beta is not None:
         gam = sinr(ch, pc, cfg.noise)
         for m in range(cfg.n_cu):
-            achieved = fbl_rate(float(gam[m]), int(point.beta[m]), cfg.eps[m])
+            achieved = (float(shannon_rate(gam[m])) if ibl else
+                        fbl_rate(float(gam[m]), int(point.beta[m]), cfg.eps[m]))
             if achieved < cfg.eta[m] * point.rate_nats - 1e-6:
-                failures.append(
-                    f"user {m} short-packet rate {achieved:.9g} below its share "
-                    f"{cfg.eta[m] * point.rate_nats:.9g}")
+                kind = "Shannon" if ibl else "short-packet"
+                failures.append(f"user {m} {kind} rate {achieved:.9g} below its "
+                                f"share {cfg.eta[m] * point.rate_nats:.9g}")
     return failures

@@ -9,6 +9,7 @@ they validate.
 import math
 
 import numpy as np
+from scipy.special import erfc
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -66,6 +67,15 @@ def erfc_oracle(x: float) -> float:
 def q_oracle(x: float) -> float:
     """Gaussian tail probability from the reference erfc."""
     return 0.5 * erfc_oracle(x / math.sqrt(2.0))
+
+
+def q_function(x: float) -> float:
+    """Gaussian tail probability Q(x) = P(Z > x) on scipy.special.erfc.
+
+    Unlike the rest of this module it rests on a library routine; it is the
+    package-independent Q of the upper-half roundtrip check.
+    """
+    return 0.5 * erfc(x / math.sqrt(2.0))
 
 
 def inv_q_bisect(p: float, lo: float = -12.0, hi: float = 14.0, tol: float = 1e-12) -> float:

@@ -52,7 +52,7 @@ class TestSystemConfig:
         with pytest.raises(ValueError, match="error probabilities"):
             SystemConfig(n_tx=16, n_rf=3, eps=eps)
 
-    # channel fields that generate_channels or ideal_radar_precoder cannot
+    # fields that generate_channels, ideal_radar_precoder or a solver cannot
     # use are rejected when the configuration is built, not inside a solve
     @pytest.mark.parametrize("fields, match", [
         (dict(distances_m=(30.0,)), "distances_m"),            # n_cu = 2
@@ -66,6 +66,17 @@ class TestSystemConfig:
         (dict(shadow_std_db=-0.5), "shadowing"),
         (dict(target_angles_deg=(-95.0, -20.0)), "target angles"),
         (dict(target_angles_deg=(-60.0, 90.5)), "target angles"),
+        (dict(p_max=float("nan")), "p_max"),
+        (dict(p_max=float("inf")), "p_max"),
+        (dict(noise=float("nan")), "noise"),
+        (dict(noise=float("inf")), "noise"),
+        (dict(e_max=float("nan")), "e_max"),
+        (dict(e_max=-0.1), "e_max"),
+        (dict(spacing_over_lambda=0.0), "spacing"),
+        (dict(spacing_over_lambda=-0.5), "spacing"),
+        (dict(n_tar=0, target_angles_deg=()), "n_tar"),
+        (dict(frame_budget=2.5), "frame budget"),
+        (dict(frame_budget=128.0), "frame budget"),
     ])
     def test_channel_fields_rejected(self, fields, match):
         with pytest.raises(ValueError, match=match):
@@ -76,6 +87,8 @@ class TestSystemConfig:
         dict(cu_angles_deg=None, distances_m=None),
         dict(angular_spread_deg=0.0, shadow_std_db=0.0, n_clu=1, n_ray=1),
         dict(target_angles_deg=(-90.0, 90.0)),
+        dict(e_max=float("inf")),                   # no sensing cap
+        dict(frame_budget=np.int64(128)),
     ])
     def test_channel_field_edges_accepted(self, fields):
         cfg = SystemConfig(**fields)
@@ -292,7 +305,7 @@ class TestHybridPrecoderValidate:
     @staticmethod
     def failures(ch, pc, rs):
         cfg = SystemConfig(n_tx=8, n_rf=3, p_max=1.0, e_max=1e9)
-        # an infinite-blocklength point: no short-packet rate share to check
+        # an infinite-blocklength point at rate 0: every Shannon share holds
         point = ParetoPoint(feasible=True, rate_nats=0.0, rate_bits=0.0,
                             rbe=rbe(pc, rs), precoder=pc,
                             beta=np.array([64, 64]), scheme="ibl_epmo")

@@ -3,8 +3,8 @@ from statistics import NormalDist
 import numpy as np
 import pytest
 
-from isac_pareto.numerics import Rng, RootBracket, bracketed_root, inv_q, phase_project, q_function
-from oracles import inv_q_bisect, q_oracle
+from isac_pareto.numerics import Rng, RootBracket, bracketed_root, inv_q, phase_project
+from oracles import inv_q_bisect, q_function, q_oracle
 
 
 class TestInvQ:

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from isac_pareto import rf_bmm, tlbs
+from isac_pareto import rf_bmm, rf_epmo, tlbs
 from isac_pareto.channel import ArrayGeometry, ChannelSet
-from isac_pareto.model import ideal_radar_precoder
+from isac_pareto.model import ideal_radar_precoder, worst_margin
 from isac_pareto.numerics import Rng, fast_unit, phase_project
 from isac_pareto.quadratics import build_quadratics
 from isac_pareto.rf_bmm import (
@@ -473,19 +473,19 @@ class TestRfStepRepair:
         repairs = []
         epmo_solve = tlbs.epmo_solve
 
-        def recorded(q, d, pcfg):
-            result = epmo_solve(q, d, pcfg)
-            repairs.append((pcfg.tol_violation, result.feasible))
+        def recorded(q, d, tol_violation=rf_epmo.TOL_VIOLATION):
+            result = epmo_solve(q, d, tol_violation)
+            repairs.append((tol_violation, result.feasible))
             return result
 
         monkeypatch.setattr(tlbs, "epmo_solve", recorded)
         gen = Rng(seed).generator()
         q, _, _ = make_instance(gen, gamma=np.full(2, 2.0))
         d0 = random_unit_modulus(gen, q.d_dim)
-        assert rf_bmm._worst_violation(q, d0) > TOL
+        assert worst_margin(q.constraint_margins(d0)) > TOL
         d = _rf_step(q, d0, SolveOptions(rf_method="bmm"))
         # the repair is asked for residuals well inside BMM's own gate
         assert repairs == [((0.5 * TOL) ** 2, True)]
         assert d is not None
         assert np.max(np.abs(np.abs(d) - 1.0)) < 1e-14
-        assert rf_bmm._worst_violation(q, d) <= TOL
+        assert worst_margin(q.constraint_margins(d)) <= TOL

@@ -7,12 +7,11 @@ import numpy as np
 import pytest
 
 import isac_pareto
-from isac_pareto import tlbs
+from isac_pareto import rf_epmo, tlbs
 from isac_pareto.channel import generate_channels
 from isac_pareto.fbl import solve_gamma_threshold
 from isac_pareto.model import SystemConfig, fbl_rate, ideal_radar_precoder, rbe, sinr
 from isac_pareto.numerics import Rng, phase_project
-from isac_pareto.rf_epmo import PenaltyConfig
 from isac_pareto.tlbs import (
     ParetoPoint,
     SolveOptions,
@@ -166,11 +165,12 @@ class TestInnerBcd:
         rel = abs(second.rbe - first.rbe) / max(first.rbe, 1e-30)
         assert rel <= opts.tol_bcd * 10
 
-    def test_infeasible_thresholds_reported_not_raised(self):
+    def test_infeasible_thresholds_reported_not_raised(self, monkeypatch):
         cfg, ch, rs = scenario()
         init = init_precoder(cfg, ch, rs, Rng(5), "epmo")
-        opts = SolveOptions(rf_method="epmo",
-                            epmo=SolveOptions().epmo.__class__(max_outer=4, max_inner=80))
+        monkeypatch.setattr(rf_epmo, "MAX_OUTER", 4)
+        monkeypatch.setattr(rf_epmo, "MAX_INNER", 80)
+        opts = SolveOptions(rf_method="epmo")
         gammas = np.full(2, 1e12)  # far beyond the power budget
         res = inner_bcd(20.0, cfg, ch, rs, init, opts,
                         gammas=gammas, betas=np.array([64, 64]))
@@ -190,8 +190,9 @@ class TestInnerBcd:
         monkeypatch.setattr(tlbs, "solve_bb", counted)
         cfg, ch, rs = scenario()
         init = init_precoder(cfg, ch, rs, Rng(5), "epmo")
-        opts = SolveOptions(rf_method="epmo",
-                            epmo=PenaltyConfig(max_outer=4, max_inner=80))
+        monkeypatch.setattr(rf_epmo, "MAX_OUTER", 4)
+        monkeypatch.setattr(rf_epmo, "MAX_INNER", 80)
+        opts = SolveOptions(rf_method="epmo")
         res = inner_bcd(20.0, cfg, ch, rs, init, opts,
                         gammas=np.full(2, 1e12), betas=np.array([64, 64]))
         assert not res.feasible
@@ -209,6 +210,10 @@ class TestSolveOptions:
         dict(tol_rate=-1.0),
         dict(rf_method="sdr"),
         dict(rate_mode="shannon"),
+        dict(tol_bcd=float("nan")),
+        dict(tol_bcd=float("inf")),
+        dict(tol_rate=float("nan")),
+        dict(tol_rate=float("inf")),
     ])
     def test_invalid_options_rejected_when_built(self, fields):
         with pytest.raises(ValueError):
@@ -218,9 +223,6 @@ class TestSolveOptions:
                                         dict(seed=2**64 - 1)])
     def test_edges_accepted(self, fields):
         SolveOptions(**fields)
-
-    def test_default_penalty_schedule(self):
-        assert SolveOptions().epmo == PenaltyConfig()
 
 
 def test_import_loads_no_scipy_subpackage_but_special():
@@ -281,12 +283,11 @@ class TestTlbsSolve:
             rates.append(point.rate_nats if point.feasible else 0.0)
         assert rates[0] <= rates[1] + 1e-9 and rates[1] <= rates[2] + 1e-9
 
-    def test_infeasible_cap_returns_infeasible_point(self):
+    def test_infeasible_cap_returns_infeasible_point(self, monkeypatch):
         cfg, ch, rs = scenario(seed=7, e_max=1e-12, p_max=1e-8)
-        opts = SolveOptions(
-            rf_method="epmo",
-            epmo=SolveOptions().epmo.__class__(max_outer=4, max_inner=60),
-        )
+        monkeypatch.setattr(rf_epmo, "MAX_OUTER", 4)
+        monkeypatch.setattr(rf_epmo, "MAX_INNER", 60)
+        opts = SolveOptions(rf_method="epmo")
         point = tlbs_solve(cfg, ch, rs, opts)
         assert not point.feasible
         assert point.precoder is None
@@ -333,6 +334,11 @@ class TestInfiniteBlocklength:
         gam = sinr(ch, point.precoder, cfg.noise)
         for m in range(cfg.n_cu):
             assert math.log1p(gam[m]) >= cfg.eta[m] * point.rate_nats
+        # validate_point checks the Shannon shares itself
+        point.rate_nats += 5.0
+        failures = validate_point(cfg, ch, rs, point)
+        assert len(failures) == cfg.n_cu
+        assert all("Shannon rate" in f for f in failures)
 
 
 class TestValidatePoint:

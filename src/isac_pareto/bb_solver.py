@@ -29,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import constraint_margins
+from .model import CAP_RTOL, constraint_margins
 
 __all__ = [
     "SocpInstance",
@@ -322,7 +322,7 @@ def solve_bb(inst: SocpInstance, f_ref: Optional[np.ndarray] = None) -> SocpSolu
     worst = np.max(shortfall, initial=-np.inf)
     if worst > 1e-6:
         raise SolverError(f"returned point misses an SINR threshold by {worst:.3e} (relative)")
-    if power_excess > 1e-8:
+    if power_excess > CAP_RTOL:
         raise SolverError(f"returned point exceeds the power budget by {power_excess:.3e} (relative)")
     objective = float(np.linalg.norm(eff - inst.target) ** 2)
     return SocpSolution(f_bb=f_bb, objective=objective, kkt_residual=kkt_residual)

@@ -38,9 +38,14 @@ __all__ = [
     "beampattern",
     "desired_beampattern",
     "NATS_PER_BIT",
+    "CAP_RTOL",
 ]
 
 NATS_PER_BIT = float(np.log(2.0))
+# relative slack of the power budget and the sensing cap, shared by the
+# baseband solver's own check, the probe verdict and validate_point: an
+# absolute slack would void these checks for a budget or cap near its size
+CAP_RTOL = 1e-8
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,10 @@ used by the short-packet rate model (on scipy.special's ndtri), a bracketed
 bisection root finder, the unit-modulus phase projection used by both RF
 precoder solvers (exact, plus a one-pass variant for interior probe
 points), and a counter-based random generator that gives every Monte-Carlo
-trial its own reproducible stream.
+trial its own reproducible stream. The exact projection computes its
+renormalization passes lazily, stopping once every entry's orbit is
+resolved, and keeps the fixed-point contract: its output bits are those of
+the eager five-pass resolution, so projecting twice changes nothing.
 """
 
 from __future__ import annotations
@@ -109,6 +112,16 @@ def _canonical_pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.where(take_a, a, b)
 
 
+def _unit(v: np.ndarray) -> np.ndarray:
+    """v / |v| entrywise with zero entries mapped to 1; the zero test and
+    its replacement are skipped when |v| has no zero (|v| = 0 only at 0)."""
+    mag = np.abs(v)
+    if not mag.all():
+        v = np.where(v == 0, 1.0 + 0.0j, v)
+        mag = np.abs(v)
+    return v / mag
+
+
 def phase_project(v) -> np.ndarray:
     """Entrywise projection onto the unit circle, preserving phases.
 
@@ -119,29 +132,31 @@ def phase_project(v) -> np.ndarray:
     orbit is resolved explicitly and 2-cycles are collapsed to a canonical
     representative, which makes phase_project(phase_project(v)) identical
     to phase_project(v) bit for bit.
+
+    The orbit is followed lazily: a further pass is computed only while
+    some entry is undecided, and a canonical pair only for the entries
+    that entered that 2-cycle. An entry still undecided after four
+    passes (a NaN or infinite input) takes the fourth pass.
     """
     v = np.asarray(v, dtype=np.complex128)
-    w0 = np.where(v == 0, 1.0 + 0.0j, v)
-    w0 = w0 / np.abs(w0)
-    w1 = w0 / np.abs(w0)
-    w2 = w1 / np.abs(w1)
-    w3 = w2 / np.abs(w2)
-    w4 = w3 / np.abs(w3)
-
-    out = w3.copy()
-    done = np.zeros(v.shape, dtype=bool)
-    for result, cond in (
-        (w0, w1 == w0),
-        (w1, w2 == w1),
-        (_canonical_pair(w0, w1), w2 == w0),
-        (w2, w3 == w2),
-        (_canonical_pair(w1, w2), w3 == w1),
-        (w3, w4 == w3),
-        (_canonical_pair(w2, w3), w4 == w2),
-    ):
-        pick = cond & ~done
-        out[pick] = result[pick]
-        done |= pick
+    passes = [_unit(v)]
+    passes.append(passes[0] / np.abs(passes[0]))
+    undecided = passes[1] != passes[0]
+    out = passes[0].copy()
+    for k in range(2, 5):
+        prev2, prev = passes[k - 2], passes[k - 1]
+        cur = prev / np.abs(prev)
+        passes.append(cur)
+        fixed = undecided & (cur == prev)
+        out[fixed] = prev[fixed]
+        undecided &= ~fixed
+        cycle = undecided & (cur == prev2)
+        if cycle.any():
+            out[cycle] = _canonical_pair(prev2[cycle], prev[cycle])
+            undecided &= ~cycle
+        if not undecided.any():
+            return out
+    out[undecided] = passes[3][undecided]
     return out
 
 
@@ -149,6 +164,6 @@ def fast_unit(v: np.ndarray) -> np.ndarray:
     """One-pass circle normalization for interior probe points (EPMO
     line-search probes and the BMM surrogate-dual Lagrangian, whose
     multiplier steps use its closed form); points a solver returns go
-    through phase_project for the exact-projection contract."""
-    v = np.where(v == 0, 1.0 + 0.0j, v)
-    return v / np.abs(v)
+    through phase_project for the exact-projection contract. Zero entries
+    map to 1."""
+    return _unit(np.asarray(v, dtype=np.complex128))

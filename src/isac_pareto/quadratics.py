@@ -6,6 +6,12 @@ d = vec(F_rf). The Kronecker-structured matrices are kept implicit:
 everything is evaluated through the (N_t x N_RF) factors in
 O(N_t * N_RF * M).
 
+The per-instance constants of the hot paths (the conjugated channels and
+baseband stage, F_bb^H, the active thresholds and the per-user Delta_m
+weights) are built once in the constructor, as the same arrays with the
+same memory layouts the inline expressions produced, so every product
+returns the same bits.
+
 Feasibility is judged by the scale-free margins of
 `model.constraint_margins`. The penalty and majorization solvers instead
 work with residuals in normalized form (SINR constraints in units of the
@@ -50,10 +56,22 @@ class QuadraticForms:
         if np.any(self.gamma < 0):
             raise ValueError("thresholds must be nonnegative")
         self.active = np.flatnonzero(self.gamma > 0)
+        self.gamma_active = self.gamma[self.active]
+
+        self.h_conj = self.h.conj()
+        self.f_bb_conj = self.f_bb.conj()
+        self.f_bb_h = self.f_bb_conj.T                      # F_bb^H
+        # Delta_m weights per active user: 1 on the interferers' gains,
+        # -1/Gamma_m on user m's own
+        self._delta_weights = {}
+        for m, g in zip(self.active, self.gamma_active):
+            weights = np.ones(self.m_users)
+            weights[m] = -1.0 / g
+            self._delta_weights[m] = weights
 
         self.f_r_u = self.f_r @ self.u                      # (N_t, M)
-        self.t_gram = self.f_bb @ self.f_bb.conj().T        # T = F_bb F_bb^H
-        self.a_r = self.vec(self.f_r_u @ self.f_bb.conj().T)
+        self.t_gram = self.f_bb @ self.f_bb_h               # T = F_bb F_bb^H
+        self.a_r = self.vec(self.f_r_u @ self.f_bb_h)
         self.e_r = float(np.linalg.norm(self.f_r_u) ** 2)
         bb_energy = float(np.linalg.norm(self.f_bb) ** 2)
         self.c_r = self.n_tx * bb_energy                    # tr(Xi_r)
@@ -98,12 +116,12 @@ class QuadraticForms:
         active users, normalized power residual) of the composite precoder
         eff; each residual is feasible iff <= 0."""
         power_res = (float(np.real(np.vdot(eff, eff))) - self.p_max) / self.p_max
-        t = self.h.conj() @ eff
+        t = self.h_conj @ eff
         powers = np.abs(t) ** 2
         totals = powers.sum(axis=1)
         sig = powers[self.active, self.active]
         interference = totals[self.active] - sig
-        sinr_res = (interference - sig / self.gamma[self.active]
+        sinr_res = (interference - sig / self.gamma_active
                     + self.noise) / self.noise
         return t, sinr_res, power_res
 
@@ -115,14 +133,15 @@ class QuadraticForms:
 
     def delta_dot(self, d: np.ndarray, m: int) -> np.ndarray:
         """Delta_m @ d through the rank-structured factors."""
-        return self.delta_from_gains(self.h[m].conj() @ self.mat(d) @ self.f_bb, m)
+        return self.delta_from_gains(self.h_conj[m] @ self.mat(d) @ self.f_bb, m)
 
     def delta_from_gains(self, t_m: np.ndarray, m: int) -> np.ndarray:
-        """Delta_m @ d from user m's cross gains t_m = h_m^H F_rf F_bb."""
-        weights = np.ones(self.m_users)
-        weights[m] = -1.0 / self.gamma[m]
-        row = (self.f_bb.conj() * (weights * t_m)).sum(axis=1)  # (N_RF,)
-        return self.vec(np.outer(self.h[m], row))
+        """Delta_m @ d from user m's cross gains t_m = h_m^H F_rf F_bb; m
+        must be an active user (Delta_m of a dropped user is undefined)."""
+        row = (self.f_bb_conj * (self._delta_weights[m] * t_m)).sum(axis=1)  # (N_RF,)
+        # vec(h_m row^T): the products of np.outer(h_m, row), laid out
+        # row-major by RF chain so the column-stacking needs no copy
+        return (self.h[m] * row[:, None]).ravel()
 
 
 def build_quadratics(

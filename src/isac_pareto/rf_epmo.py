@@ -13,6 +13,11 @@ divided by the contraction constant and the loop reruns from the current
 point. The schedule is the module constants MU0, C, MAX_OUTER and
 MAX_INNER, read at call time, and TOL_VIOLATION, the default tolerance.
 
+Each accepted CG step evaluates the composite precoder F_rf F_bb, the
+cross gains and the residuals at the new iterate once, and takes both the
+penalty value and the ambient gradient from them; only the Armijo probes
+evaluate the penalty value alone.
+
 Hinges act on the normalized residuals (noise units for SINR, budget units
 for power); in raw watts the constraint scale is ~1e-12 and the penalty
 terms would vanish into rounding error. The ambient gradient follows the
@@ -75,7 +80,17 @@ class EpmoResult:
 
 
 def _squared_hinges(sinr_res: np.ndarray, power_res: float) -> float:
-    return float(np.sum(np.maximum(0.0, sinr_res) ** 2)) + max(0.0, power_res) ** 2
+    # a scalar sum without array temporaries; numpy sums fewer than eight
+    # terms left to right too, so below eight active users it returns the
+    # bits of float(np.sum(np.maximum(0.0, sinr_res) ** 2)). From eight on
+    # numpy sums pairwise and the two may differ in the last few bits (both
+    # stay within the usual n eps bound of the exact sum). A NaN residual
+    # propagates as it does through np.maximum
+    total = 0.0
+    for res in sinr_res.tolist():
+        if not res <= 0.0:
+            total += res * res
+    return total + max(0.0, power_res) ** 2
 
 
 def constraint_violation(q: QuadraticForms, d: np.ndarray) -> float:
@@ -84,25 +99,39 @@ def constraint_violation(q: QuadraticForms, d: np.ndarray) -> float:
     return _squared_hinges(sinr_res, power_res)
 
 
-def penalty_objective(q: QuadraticForms, d: np.ndarray, mu: float) -> float:
-    """RBE plus mu times the summed squared constraint hinges."""
-    objective, sinr_res, power_res = q.probe_eval(d)
+def _penalty(objective: float, sinr_res: np.ndarray, power_res: float,
+             mu: float) -> float:
     return objective + mu * _squared_hinges(sinr_res, power_res)
 
 
-def euclidean_gradient(q: QuadraticForms, d: np.ndarray, mu: float) -> np.ndarray:
+def penalty_objective(q: QuadraticForms, d: np.ndarray, mu: float) -> float:
+    """RBE plus mu times the summed squared constraint hinges."""
+    return _penalty(*q.probe_eval(d), mu)
+
+
+def _penalty_parts(q: QuadraticForms, d: np.ndarray, mu: float):
+    """Penalty value at d with the parts its gradient reuses: the composite
+    precoder F_rf F_bb, its cross gains and its residuals."""
+    eff = q.mat(d) @ q.f_bb
+    t, sinr_res, power_res = q.residuals(eff)
+    return _penalty(q._rbe(eff), sinr_res, power_res, mu), (eff, t, sinr_res, power_res)
+
+
+def euclidean_gradient(q: QuadraticForms, d: np.ndarray, mu: float,
+                       parts=None) -> np.ndarray:
     """Ambient-space gradient 2*Xi*d - 2*a + mu * (hinge terms).
 
     Each active hinge contributes 4 * residual * (matrix @ d) in its
     normalized units; inactive hinges contribute nothing. All terms share
-    one composite-precoder product.
+    one composite-precoder product, which parts (from _penalty_parts at
+    the same d) supplies together with the residuals when given.
     """
-    eff = q.mat(d) @ q.f_bb
-    xi_d = q.vec(eff @ q.f_bb.conj().T)  # Xi @ d = vec(F (Fbb Fbb^H))
+    eff = q.mat(d) @ q.f_bb if parts is None else parts[0]
+    xi_d = q.vec(eff @ q.f_bb_h)  # Xi @ d = vec(F (Fbb Fbb^H))
     grad = 2.0 * (xi_d - q.a_r)
     if mu != 0.0:
         acc = np.zeros_like(grad)
-        t, sinr_res, power_res = q.residuals(eff)
+        t, sinr_res, power_res = q.residuals(eff) if parts is None else parts[1:]
         for res, m in zip(sinr_res, q.active):
             if res >= 0.0:
                 acc += (4.0 * res / q.noise) * q.delta_from_gains(t[m], m)
@@ -114,7 +143,11 @@ def euclidean_gradient(q: QuadraticForms, d: np.ndarray, mu: float) -> np.ndarra
 
 def riemannian_gradient(d: np.ndarray, egrad: np.ndarray) -> np.ndarray:
     """Project an ambient vector onto the tangent space at d."""
-    return egrad - np.real(egrad * np.conj(d)) * d
+    return _tangent(d, np.conj(d), egrad)
+
+
+def _tangent(d: np.ndarray, d_conj: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return v - np.real(v * d_conj) * d
 
 
 def retract(d: np.ndarray, step: float, zeta: np.ndarray) -> np.ndarray:
@@ -193,12 +226,14 @@ def _rcg_minimize(q, d, mu, trace: List[dict], tol_grad: float) -> np.ndarray:
             step_seed = min(ARMIJO_STEP, step / ARMIJO_CONTRACTION ** 2)
 
         candidate = retract(d, step, direction)
-        f_new = penalty_objective(q, candidate, mu)
-        grad_new = riemannian_gradient(candidate, euclidean_gradient(q, candidate, mu))
+        f_new, parts = _penalty_parts(q, candidate, mu)
+        cand_conj = np.conj(candidate)
+        grad_new = _tangent(candidate, cand_conj,
+                            euclidean_gradient(q, candidate, mu, parts))
         gsq_new = _grad_norm_sq(grad_new)
-        diff = grad_new - riemannian_gradient(candidate, grad)
+        diff = grad_new - _tangent(candidate, cand_conj, grad)
         beta = max(0.0, float(np.real(np.vdot(grad_new, diff))) / max(gsq, 1e-300))
-        direction = -grad_new + beta * riemannian_gradient(candidate, direction)
+        direction = -grad_new + beta * _tangent(candidate, cand_conj, direction)
         d, grad, gsq, f_val = candidate, grad_new, gsq_new, f_new
         trace.append({"iteration": it, "objective": f_val,
                       "grad_norm_sq": gsq, "mu": mu})

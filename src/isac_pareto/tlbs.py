@@ -35,6 +35,7 @@ from .bb_solver import (
 from .channel import ChannelSet
 from .fbl import allocate_blocklengths, solve_gamma_threshold
 from .model import (
+    CAP_RTOL,
     NATS_PER_BIT,
     HybridPrecoder,
     RadarSpec,
@@ -306,9 +307,9 @@ def _attempt_rate(rate, cfg, ch, rs, init, opts, incumbent_beta):
     if not inner.feasible:
         return None, inner
     pc = inner.precoder
-    if inner.rbe > cfg.e_max + 1e-8:
+    if inner.rbe > cfg.e_max * (1.0 + CAP_RTOL):
         return None, inner
-    if pc.transmit_power() > cfg.p_max * (1.0 + 1e-8):
+    if pc.transmit_power() > cfg.p_max * (1.0 + CAP_RTOL):
         return None, inner
     if opts.rate_mode == "ibl":
         return (pc, incumbent_beta.copy(), inner), inner
@@ -417,11 +418,11 @@ def validate_point(cfg: SystemConfig, ch: ChannelSet, rs: RadarSpec,
     gram = pc.u @ pc.u.conj().T
     if np.max(np.abs(gram - np.eye(pc.u.shape[0]))) > 1e-10:
         failures.append("auxiliary matrix rows are not orthonormal")
-    if pc.transmit_power() > cfg.p_max + 1e-8:
+    if pc.transmit_power() > cfg.p_max * (1.0 + CAP_RTOL):
         failures.append(
             f"power {pc.transmit_power():.9g} exceeds budget {cfg.p_max:.9g}")
     error = rbe(pc, rs)
-    if error > cfg.e_max + 1e-8:
+    if error > cfg.e_max * (1.0 + CAP_RTOL):
         failures.append(f"beamforming error {error:.9g} exceeds cap {cfg.e_max:.9g}")
     if abs(error - point.rbe) > 1e-6 * max(1.0, error):
         failures.append("recorded beamforming error does not match the precoder")

@@ -162,3 +162,88 @@ def random_row_orthonormal(rng: np.random.Generator, rows: int, cols: int) -> np
     q, r = np.linalg.qr(g)
     q = q * np.sign(np.where(np.diag(r).real == 0, 1.0, np.diag(r).real))
     return q.conj().T
+
+
+def _canonical_pair_reference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    take_a = (a.real < b.real) | ((a.real == b.real) & (a.imag <= b.imag))
+    return np.where(take_a, a, b)
+
+
+def phase_project_reference(v) -> np.ndarray:
+    """The exact circle projection with every pass computed eagerly.
+
+    Five renormalization passes w0..w4 and all three canonical pairs are
+    built for every entry, then each entry takes the first orbit event in
+    the order below (fixed point, or 2-cycle collapsed to its smaller
+    member by real then imaginary part); an entry with no event takes w3.
+    The library's lazy projection must return the same bits.
+    """
+    v = np.asarray(v, dtype=np.complex128)
+    w0 = np.where(v == 0, 1.0 + 0.0j, v)
+    w0 = w0 / np.abs(w0)
+    w1 = w0 / np.abs(w0)
+    w2 = w1 / np.abs(w1)
+    w3 = w2 / np.abs(w2)
+    w4 = w3 / np.abs(w3)
+
+    out = w3.copy()
+    done = np.zeros(v.shape, dtype=bool)
+    for result, cond in (
+        (w0, w1 == w0),
+        (w1, w2 == w1),
+        (_canonical_pair_reference(w0, w1), w2 == w0),
+        (w2, w3 == w2),
+        (_canonical_pair_reference(w1, w2), w3 == w1),
+        (w3, w4 == w3),
+        (_canonical_pair_reference(w2, w3), w4 == w2),
+    ):
+        pick = cond & ~done
+        out[pick] = result[pick]
+        done |= pick
+    return out
+
+
+def penalty_reference(q, d: np.ndarray, mu: float) -> float:
+    """EPMO's penalty value with every term written out inline: RBE plus mu
+    times the squared hinges summed by np.sum, in the library's expression
+    order, so the value must match bit for bit."""
+    eff = d.reshape(q.n_tx, q.n_rf, order="F") @ q.f_bb
+    diff = eff - q.f_r_u
+    objective = float(np.real(np.vdot(diff, diff)))
+    sinr_res, power_res = _normalized_residuals(q, eff)[1:]
+    return objective + mu * (float(np.sum(np.maximum(0.0, sinr_res) ** 2))
+                             + max(0.0, power_res) ** 2)
+
+
+def _normalized_residuals(q, eff: np.ndarray):
+    t = q.h.conj() @ eff
+    powers = np.abs(t) ** 2
+    totals = powers.sum(axis=1)
+    sig = powers[q.active, q.active]
+    interference = totals[q.active] - sig
+    sinr_res = (interference - sig / q.gamma[q.active] + q.noise) / q.noise
+    power_res = (float(np.real(np.vdot(eff, eff))) - q.p_max) / q.p_max
+    return t, sinr_res, power_res
+
+
+def penalty_gradient_reference(q, d: np.ndarray, mu: float) -> np.ndarray:
+    """EPMO's ambient penalty gradient with every term written out inline
+    (Delta_m d from a fresh weight vector and np.outer, Xi d as
+    (F_rf F_bb) F_bb^H), in the library's expression order."""
+    eff = d.reshape(q.n_tx, q.n_rf, order="F") @ q.f_bb
+    xi_d = (eff @ q.f_bb.conj().T).reshape(-1, order="F")
+    grad = 2.0 * (xi_d - q.a_r)
+    if mu != 0.0:
+        acc = np.zeros_like(grad)
+        t, sinr_res, power_res = _normalized_residuals(q, eff)
+        for res, m in zip(sinr_res, q.active):
+            if res >= 0.0:
+                weights = np.ones(q.m_users)
+                weights[m] = -1.0 / q.gamma[m]
+                row = (q.f_bb.conj() * (weights * t[m])).sum(axis=1)
+                delta_d = np.outer(q.h[m], row).reshape(-1, order="F")
+                acc += (4.0 * res / q.noise) * delta_d
+        if power_res >= 0.0:
+            acc += (4.0 * power_res / q.p_max) * xi_d
+        grad = grad + mu * acc
+    return grad

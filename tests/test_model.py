@@ -4,6 +4,7 @@ import pytest
 from isac_pareto.channel import ArrayGeometry, ChannelSet, generate_channels, steering_vector
 from isac_pareto.model import (
     HybridPrecoder,
+    RadarSpec,
     SystemConfig,
     beampattern,
     constraint_margins,
@@ -303,8 +304,8 @@ class TestHybridPrecoderValidate:
     """Structural invariants of a hybrid precoder, as validate_point checks them."""
 
     @staticmethod
-    def failures(ch, pc, rs):
-        cfg = SystemConfig(n_tx=8, n_rf=3, p_max=1.0, e_max=1e9)
+    def failures(ch, pc, rs, p_max=1.0, e_max=1e9):
+        cfg = SystemConfig(n_tx=8, n_rf=3, p_max=p_max, e_max=e_max)
         # an infinite-blocklength point at rate 0: every Shannon share holds
         point = ParetoPoint(feasible=True, rate_nats=0.0, rate_bits=0.0,
                             rbe=rbe(pc, rs), precoder=pc,
@@ -329,3 +330,22 @@ class TestHybridPrecoderValidate:
         ch, pc, rs = random_instance(gen)
         pc.f_bb = pc.f_bb / np.linalg.norm(pc.effective()) * 2.0
         assert any("exceeds budget" in f for f in self.failures(ch, pc, rs))
+
+    def test_small_budget_and_cap_checked_relatively(self):
+        # 1.9x a budget of 1e-8 W, and 1.9x a sensing cap of 1e-8: an
+        # absolute slack of 1e-8 would accept both
+        gen = Rng(13).generator()
+        ch, pc, rs = random_instance(gen)
+        pc.f_bb = pc.f_bb / np.linalg.norm(pc.effective()) * np.sqrt(1.9e-8)
+        assert any("exceeds budget" in f for f in self.failures(ch, pc, rs, p_max=1e-8))
+        assert self.failures(ch, pc, rs, p_max=2e-8) == []
+        # a reference the precoder misses by 1.9e-8: U is square unitary,
+        # so F_r U = F + E for F_r = (F + E) U^H
+        miss = gen.normal(size=(8, 2)) + 1j * gen.normal(size=(8, 2))
+        miss *= np.sqrt(1.9e-8) / np.linalg.norm(miss)
+        near = RadarSpec(f_r=(pc.effective() + miss) @ pc.u.conj().T,
+                         target_angles_deg=rs.target_angles_deg)
+        assert rbe(pc, near) == pytest.approx(1.9e-8, rel=1e-6)
+        assert any("exceeds cap" in f
+                   for f in self.failures(ch, pc, near, p_max=2e-8, e_max=1e-8))
+        assert self.failures(ch, pc, near, p_max=2e-8, e_max=2e-8) == []

@@ -3,8 +3,9 @@ from statistics import NormalDist
 import numpy as np
 import pytest
 
-from isac_pareto.numerics import Rng, RootBracket, bracketed_root, inv_q, phase_project
-from oracles import inv_q_bisect, q_function, q_oracle
+from isac_pareto.numerics import (Rng, RootBracket, bracketed_root, fast_unit, inv_q,
+                                  phase_project)
+from oracles import inv_q_bisect, phase_project_reference, q_function, q_oracle
 
 
 class TestInvQ:
@@ -119,6 +120,109 @@ class TestPhaseProject:
         once = phase_project(v)
         twice = phase_project(once)
         assert np.array_equal(once, twice)
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def orbit_events(v):
+    """Per entry, the first renormalization event of the exact projection:
+    0 fixed at w0, 1 fixed at w1, 2 cycle (w0, w1), 3 fixed at w2, 4 cycle
+    (w1, w2), 5 fixed at w3, 6 cycle (w2, w3), 7 none within four passes."""
+    w = [np.where(v == 0, 1.0 + 0.0j, v)]
+    w[0] = w[0] / np.abs(w[0])
+    for _ in range(4):
+        w.append(w[-1] / np.abs(w[-1]))
+    conds = [w[1] == w[0]]
+    for k in range(2, 5):
+        conds += [w[k] == w[k - 1], w[k] == w[k - 2]]
+    return np.select(conds, range(7), default=7)
+
+
+class TestPhaseProjectMatchesReference:
+    """The lazy projection returns the bits of the eager reference."""
+
+    @staticmethod
+    def inputs(key, n):
+        gen = Rng(key, 0).generator()
+        scale = np.exp(gen.uniform(-18, 18, size=n) * np.log(10))
+        random = (gen.normal(size=n) + 1j * gen.normal(size=n)) * scale
+        # unit-modulus points off by a few ulps, as a retraction produces
+        near = np.exp(1j * gen.uniform(-np.pi, np.pi, n)) * (1 + 1e-15 * gen.normal(size=n))
+        return random, near
+
+    def test_every_orbit_event_matches(self):
+        random, near = self.inputs(20, 100_000)
+        v = np.concatenate([random, near])
+        events = orbit_events(v)
+        # every event of the reference occurs in this sample, 2-cycles
+        # included, and no entry is left undecided
+        assert set(np.unique(events)) == set(range(7))
+        assert same_bits(phase_project(v), phase_project_reference(v))
+        assert same_bits(phase_project(v.reshape(400, 500)),
+                         phase_project_reference(v.reshape(400, 500)))
+
+    def test_two_cycle_entries_alone(self):
+        random, near = self.inputs(21, 50_000)
+        v = np.concatenate([random, near])
+        events = orbit_events(v)
+        for event in (2, 4, 6):
+            cyc = v[events == event]
+            assert cyc.size > 0
+            assert same_bits(phase_project(cyc), phase_project_reference(cyc))
+            assert same_bits(phase_project(cyc[:1]), phase_project_reference(cyc[:1]))
+
+    def test_small_calls_stop_at_every_pass(self):
+        # solver-sized vectors (48 entries, 16 x 3 in 2-D) end their orbit
+        # resolution at different passes; each must match the reference
+        random, near = self.inputs(22, 48 * 300)
+        last_pass = set()
+        for v in np.concatenate([random, near]).reshape(-1, 48):
+            last_pass.add((int(orbit_events(v).max()) + 1) // 2)
+            assert same_bits(phase_project(v), phase_project_reference(v))
+            m = v.reshape(16, 3, order="F")
+            assert same_bits(phase_project(m), phase_project_reference(m))
+        assert last_pass == {1, 2, 3}
+
+    def test_fixed_points_return_first_pass(self):
+        v = np.array([1.0 + 0.0j, -1.0, 1j, -1j, 0.6 + 0.8j])
+        assert np.all(orbit_events(v) == 0)
+        assert same_bits(phase_project(v), phase_project_reference(v))
+        assert same_bits(phase_project(v[None, :]), phase_project_reference(v[None, :]))
+
+    def test_zero_and_nonfinite_entries(self):
+        v = np.array([0.0, -0.0, complex(0.0, -0.0), complex(-0.0, -0.0), np.nan,
+                      complex(1.0, np.nan), np.inf, complex(np.inf, 1.0), 3 - 4j])
+        with np.errstate(invalid="ignore"):
+            out = phase_project(v)
+            assert same_bits(out, phase_project_reference(v))
+            assert same_bits(phase_project(v.reshape(3, 3)),
+                             phase_project_reference(v.reshape(3, 3)))
+        assert np.all(out[:4] == 1.0)
+        assert same_bits(phase_project(np.zeros((2, 3))),
+                         phase_project_reference(np.zeros((2, 3))))
+
+
+class TestFastUnit:
+    def test_matches_one_pass_normalization(self):
+        gen = Rng(23, 0).generator()
+        v = gen.normal(size=(50, 3)) + 1j * gen.normal(size=(50, 3))
+        assert same_bits(fast_unit(v), v / np.abs(v))
+
+    def test_zero_entries_map_to_one(self):
+        v = np.array([0.0, -0.0, complex(0.0, -0.0), 2.0 + 2.0j])
+        out = fast_unit(v)
+        assert same_bits(out[:3], np.ones(3, dtype=np.complex128))
+        assert same_bits(out[3:], v[3:] / np.abs(v[3:]))
+
+    def test_nan_entries_stay_nan(self):
+        v = np.array([np.nan, complex(1.0, np.nan), 0.0, 3 - 4j])
+        want = np.where(v == 0, 1.0 + 0.0j, v)
+        with np.errstate(invalid="ignore"):
+            out = fast_unit(v)
+            assert same_bits(out, want / np.abs(want))
+        assert np.isnan(out[:2]).all() and out[2] == 1.0
 
 
 class TestRng:

@@ -15,7 +15,8 @@ from isac_pareto.rf_epmo import (
     retract,
     riemannian_gradient,
 )
-from oracles import random_row_orthonormal, random_unit_modulus
+from oracles import (penalty_gradient_reference, penalty_reference, random_row_orthonormal,
+                     random_unit_modulus)
 
 
 def make_instance(gen, n_tx=6, n_rf=3, m=2, n_tar=2, gamma=None, noise=0.05, p_max=None):
@@ -127,6 +128,75 @@ class TestEuclideanGradient:
             scale = max(np.max(np.abs(grad)), 1e-12)
             assert np.max(np.abs(fd - grad)) / scale <= 1e-5
             checked += 1
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestSharedValueAndGradient:
+    """The value and gradient an accepted step takes from one product equal
+    the separate evaluations and the inline reference bit for bit."""
+
+    # thresholds, noise, budget as a multiple of n_tx, and whether some SINR
+    # hinge and the power hinge are active on the 6-antenna instances
+    CASES = {
+        "no hinge": (np.array([1e-6, 1e-6]), 0.05, 1e9, False, False),
+        "sinr hinges": (np.array([5.0, 5.0]), 0.5, 1e9, True, False),
+        "power hinge": (np.array([1e-6, 1e-6]), 0.05, 0.01, False, True),
+        "all hinges": (np.array([5.0, 5.0]), 0.5, 0.01, True, True),
+        "dropped user": (np.array([0.0, 5.0]), 0.5, 0.01, True, True),
+        "one user": (np.array([5.0]), 0.5, 1e9, True, False),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("mu", [0.0, 10.0, 1e4])
+    def test_matches_separate_evaluations(self, case, mu):
+        gamma, noise, budget, sinr_hinge, power_hinge = self.CASES[case]
+        gen = Rng(95).generator()
+        active_sinr = active_power = 0
+        for _ in range(10):
+            q, _, _ = make_instance(gen, m=gamma.size, n_tar=gamma.size, gamma=gamma,
+                                    noise=noise, p_max=budget * 6)
+            d = random_unit_modulus(gen, q.d_dim)
+            _, sinr_res, power_res = q.probe_eval(d)
+            active_sinr += int(np.sum(sinr_res >= 0.0))
+            active_power += int(power_res >= 0.0)
+            value, parts = rf_epmo._penalty_parts(q, d, mu)
+            assert same_bits(value, penalty_objective(q, d, mu))
+            assert same_bits(value, penalty_reference(q, d, mu))
+            grad = euclidean_gradient(q, d, mu, parts)
+            assert same_bits(grad, euclidean_gradient(q, d, mu))
+            assert same_bits(grad, penalty_gradient_reference(q, d, mu))
+        assert (active_sinr > 0) == sinr_hinge
+        assert (active_power > 0) == power_hinge
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_squared_hinges_match_numpy_sum(self, n):
+        # numpy adds fewer than eight terms left to right, as the scalar loop
+        gen = Rng(96, n).generator()
+        for _ in range(2000):
+            res = gen.normal(size=n) * 10.0 ** gen.integers(-8, 8, size=n)
+            power = float(gen.normal())
+            want = float(np.sum(np.maximum(0.0, res) ** 2)) + max(0.0, power) ** 2
+            assert same_bits(rf_epmo._squared_hinges(res, power), want)
+        if n:
+            res[0] = np.nan
+            assert np.isnan(rf_epmo._squared_hinges(res, 0.0))
+
+    @pytest.mark.parametrize("n", [8, 9, 16, 33])
+    def test_squared_hinges_within_sum_error_bound(self, n):
+        # from eight terms on numpy sums pairwise, so the loop may part from
+        # np.sum in the last bits; each order of the n + 1 nonnegative terms
+        # is within n/2 eps of the exact sum, so the two are within n eps
+        gen = Rng(96, n).generator()
+        for _ in range(2000):
+            res = gen.normal(size=n) * 10.0 ** gen.integers(-8, 8, size=n)
+            power = float(gen.normal())
+            want = float(np.sum(np.maximum(0.0, res) ** 2)) + max(0.0, power) ** 2
+            got = rf_epmo._squared_hinges(res, power)
+            assert abs(got - want) <= n * np.finfo(float).eps * want
 
 
 class TestManifoldOps:

@@ -14,7 +14,9 @@ slack-minimizing phase recovers a strictly feasible point, then the central
 path is followed with the barrier weight raised per stage until the duality
 gap bound is negligible. SINR cones are expressed in units of the root noise
 power and the power ball in units of the root budget, which keeps every
-barrier term O(1).
+barrier term O(1). Newton centering evaluates each iterate's slacks once:
+the evaluation that passes a candidate's interior test also gives that
+point's gradient and Hessian.
 
 The auxiliary row-orthonormal matrix has an exact solution through the
 singular value decomposition (the classic orthogonal Procrustes argument:
@@ -24,12 +26,13 @@ product with the target matters).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .model import CAP_RTOL, constraint_margins
+from .model import CAP_RTOL, FEAS_SLACK, constraint_margins
 
 __all__ = [
     "SocpInstance",
@@ -130,6 +133,11 @@ class _BarrierProgram:
     Cones are u_i(x) = s_i(x)^2 - ||J_i x + y0_i||^2 > 0 with s_i = c_i^T x
     (+ sigma for the phase-1 variant), plus the power ball
     u_p = 1 - x^T P_ball x > 0.
+
+    Each iterate is evaluated once: `_slacks` gives the ball slack and every
+    cone's (s, y, u), the interior test is that evaluation succeeding, and
+    Newton centering builds the accepted candidate's gradient and Hessian
+    from the evaluation its interior test already made.
     """
 
     def __init__(self, p_quad, q_lin, cones, p_ball):
@@ -138,46 +146,65 @@ class _BarrierProgram:
         self.p_ball = p_ball
         self.n = q_lin.size
         # the x-independent terms are built once: per cone (J, J^T, y0, c, u''),
-        # plus 2P and the ball's u'' = -2 P_ball
+        # plus 2P, 2q and the ball's u'' = -2 P_ball
         self.cones = [(j_mat, j_mat.T, y0, c,
                        2.0 * np.outer(c, c) - 2.0 * (j_mat.T @ j_mat))
                       for j_mat, y0, c in cones]
         self.two_p_quad = 2.0 * p_quad
+        self.two_q_lin = 2.0 * q_lin
         self.d2u_ball = -2.0 * p_ball
 
     def ball_value(self, x):
         return 1.0 - float(x @ self.p_ball @ x)
 
-    def interior(self, x) -> bool:
-        if self.ball_value(x) <= 0:
-            return False
+    def _slacks(self, x, strict=True):
+        """Ball slack u_p and each cone's (s, y, u) at x.
+
+        With strict set, the first rim value s <= 0 or slack <= 0 ends the
+        evaluation with None: x lies outside the interior.
+        """
+        ub = self.ball_value(x)
+        if strict and ub <= 0:
+            return None
+        cones = []
         for j_mat, _, y0, c, _ in self.cones:
             s = float(c @ x)
-            if s <= 0:
-                return False
+            if strict and s <= 0:
+                return None
             y = j_mat @ x + y0
-            if s * s - float(y @ y) <= 0:
-                return False
-        return True
+            u = s * s - float(y @ y)
+            if strict and u <= 0:
+                return None
+            cones.append((s, y, u))
+        return ub, cones
+
+    def interior(self, x) -> bool:
+        return self._slacks(x) is not None
+
+    def _cone_terms(self, cone_slacks):
+        """(u_i, u'_i, u''_i) of each cone from its `_slacks` entry (s, y, u)."""
+        return [(u, 2.0 * s * c - 2.0 * (j_t @ y), d2u)
+                for (s, y, u), (_, j_t, _, c, d2u) in zip(cone_slacks, self.cones)]
 
     def cone_terms(self, x):
         """Slack u_i, gradient u'_i and Hessian u''_i of each cone at x."""
-        for j_mat, j_t, y0, c, d2u in self.cones:
-            s = float(c @ x)
-            y = j_mat @ x + y0
-            yield s * s - float(y @ y), 2.0 * s * c - 2.0 * (j_t @ y), d2u
+        return self._cone_terms(self._slacks(x, strict=False)[1])
 
     def grad_hess(self, x, kappa):
-        grad = kappa * (self.two_p_quad @ x - 2.0 * self.q_lin)
+        return self._grad_hess(x, kappa, self._slacks(x, strict=False))
+
+    def _grad_hess(self, x, kappa, slacks):
+        """Barrier gradient and Hessian at x from its `_slacks` evaluation."""
+        ub, cone_slacks = slacks
+        grad = kappa * (self.two_p_quad @ x - self.two_q_lin)
         hess = kappa * self.two_p_quad
-        for u, du, d2u in self.cone_terms(x):
+        for u, du, d2u in self._cone_terms(cone_slacks):
             grad -= du / u
-            hess += np.outer(du, du) / (u * u)
+            hess += du[:, None] * du / (u * u)
             hess -= d2u / u
-        ub = self.ball_value(x)
         dub = self.d2u_ball @ x
         grad -= dub / ub
-        hess += np.outer(dub, dub) / (ub * ub) - self.d2u_ball / ub
+        hess += dub[:, None] * dub / (ub * ub) - self.d2u_ball / ub
         return grad, hess
 
     def newton_center(self, x, kappa, tol=1e-12, max_steps=120):
@@ -186,11 +213,14 @@ class _BarrierProgram:
         The step length 1/(1+lambda) in the damped phase guarantees descent
         without function-value comparisons (which lose all precision once
         kappa * f0 dwarfs the barrier increments), switching to full steps
-        in the quadratic phase.
+        in the quadratic phase. The start is evaluated as given (a polished
+        point may sit on a boundary); every later iterate reuses the
+        evaluation of the interior test that accepted it.
         """
         decrement = np.inf
+        slacks = self._slacks(x, strict=False)
         for _ in range(max_steps):
-            grad, hess = self.grad_hess(x, kappa)
+            grad, hess = self._grad_hess(x, kappa, slacks)
             try:
                 step = np.linalg.solve(hess, -grad)
             except np.linalg.LinAlgError:
@@ -199,11 +229,11 @@ class _BarrierProgram:
             decrement = float(-grad @ step)
             if decrement <= tol:
                 break
-            lam = np.sqrt(max(decrement, 0.0))
+            lam = math.sqrt(max(decrement, 0.0))
             t = 1.0 if lam <= 0.25 else 1.0 / (1.0 + lam)
             cand = x + t * step
             safety = 0
-            while not self.interior(cand):
+            while (slacks := self._slacks(cand)) is None:
                 t *= 0.5
                 cand = x + t * step
                 safety += 1
@@ -320,7 +350,7 @@ def solve_bb(inst: SocpInstance, f_ref: Optional[np.ndarray] = None) -> SocpSolu
     shortfall, power_excess = constraint_margins(eff, inst.h, inst.gamma,
                                                  inst.noise, inst.p_max)
     worst = np.max(shortfall, initial=-np.inf)
-    if worst > 1e-6:
+    if worst > FEAS_SLACK:
         raise SolverError(f"returned point misses an SINR threshold by {worst:.3e} (relative)")
     if power_excess > CAP_RTOL:
         raise SolverError(f"returned point exceeds the power budget by {power_excess:.3e} (relative)")

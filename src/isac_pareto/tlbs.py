@@ -36,6 +36,7 @@ from .channel import ChannelSet
 from .fbl import allocate_blocklengths, solve_gamma_threshold
 from .model import (
     CAP_RTOL,
+    FEAS_SLACK,
     NATS_PER_BIT,
     HybridPrecoder,
     RadarSpec,
@@ -66,7 +67,6 @@ __all__ = [
 
 RF_METHODS = ("bmm", "epmo", "fdb")
 RATE_MODES = ("fbl", "ibl")
-FEAS_SLACK = 1e-6  # relative slack when re-checking constraint satisfaction
 # the inner problem aims a hair above the probed rate so the converged SINRs
 # keep real margin: without it, solver slack of ~1e-6 at a binding threshold
 # flips the ceil in the blocklength bounds and spuriously rejects midpoints

@@ -247,3 +247,92 @@ def penalty_gradient_reference(q, d: np.ndarray, mu: float) -> np.ndarray:
             acc += (4.0 * power_res / q.p_max) * xi_d
         grad = grad + mu * acc
     return grad
+
+
+class BarrierProgramReference:
+    """The cone solver's barrier program with each iterate evaluated twice.
+
+    `interior` and `grad_hess` each compute the slacks from scratch, the
+    cone terms come from a generator and the Hessian updates use np.outer.
+    The library evaluates each iterate once, in the same expression order,
+    so its gradient, Hessian, interior verdict and centered point must
+    match these bit for bit. `rejected` counts the failed interior tests.
+    """
+
+    def __init__(self, p_quad, q_lin, cones, p_ball):
+        self.p_quad = p_quad
+        self.q_lin = q_lin
+        self.p_ball = p_ball
+        self.n = q_lin.size
+        self.cones = [(j_mat, j_mat.T, y0, c,
+                       2.0 * np.outer(c, c) - 2.0 * (j_mat.T @ j_mat))
+                      for j_mat, y0, c in cones]
+        self.two_p_quad = 2.0 * p_quad
+        self.d2u_ball = -2.0 * p_ball
+        self.rejected = 0
+
+    def ball_value(self, x):
+        return 1.0 - float(x @ self.p_ball @ x)
+
+    def interior(self, x) -> bool:
+        inside = self._interior(x)
+        self.rejected += not inside
+        return inside
+
+    def _interior(self, x) -> bool:
+        if self.ball_value(x) <= 0:
+            return False
+        for j_mat, _, y0, c, _ in self.cones:
+            s = float(c @ x)
+            if s <= 0:
+                return False
+            y = j_mat @ x + y0
+            if s * s - float(y @ y) <= 0:
+                return False
+        return True
+
+    def cone_terms(self, x):
+        for j_mat, j_t, y0, c, d2u in self.cones:
+            s = float(c @ x)
+            y = j_mat @ x + y0
+            yield s * s - float(y @ y), 2.0 * s * c - 2.0 * (j_t @ y), d2u
+
+    def grad_hess(self, x, kappa):
+        grad = kappa * (self.two_p_quad @ x - 2.0 * self.q_lin)
+        hess = kappa * self.two_p_quad
+        for u, du, d2u in self.cone_terms(x):
+            grad -= du / u
+            hess += np.outer(du, du) / (u * u)
+            hess -= d2u / u
+        ub = self.ball_value(x)
+        dub = self.d2u_ball @ x
+        grad -= dub / ub
+        hess += np.outer(dub, dub) / (ub * ub) - self.d2u_ball / ub
+        return grad, hess
+
+    def newton_center(self, x, kappa, tol=1e-12, max_steps=120):
+        """Damped Newton centering; also returns the number of steps taken."""
+        decrement = np.inf
+        steps = 0
+        for steps in range(1, max_steps + 1):
+            grad, hess = self.grad_hess(x, kappa)
+            try:
+                step = np.linalg.solve(hess, -grad)
+            except np.linalg.LinAlgError:
+                ridge = 1e-12 * max(1.0, np.trace(hess) / self.n)
+                step = np.linalg.solve(hess + ridge * np.eye(self.n), -grad)
+            decrement = float(-grad @ step)
+            if decrement <= tol:
+                break
+            lam = np.sqrt(max(decrement, 0.0))
+            t = 1.0 if lam <= 0.25 else 1.0 / (1.0 + lam)
+            cand = x + t * step
+            safety = 0
+            while not self.interior(cand):
+                t *= 0.5
+                cand = x + t * step
+                safety += 1
+                if safety > 60:
+                    return x, decrement, steps
+            x = cand
+        return x, decrement, steps

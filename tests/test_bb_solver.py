@@ -11,7 +11,7 @@ from isac_pareto.bb_solver import (
 )
 from isac_pareto.model import constraint_margins
 from isac_pareto.numerics import Rng
-from oracles import random_row_orthonormal, random_unit_modulus
+from oracles import BarrierProgramReference, random_row_orthonormal, random_unit_modulus
 
 
 def make_data(gen, n_tx=8, n_rf=3, m=2, n_tar=2, h_scale=1.0, noise=0.1, p_max=10.0):
@@ -214,6 +214,128 @@ class TestBarrierDerivatives:
             assert_grad_hess_match_differences(aug_raw, x_aug, kappa)
             assert_grad_hess_match_differences(
                 aug_raw, x_aug + 0.01 * gen.normal(size=x_aug.size), kappa)
+
+
+def phase_one_program(monkeypatch, gen):
+    """Data of the augmented program `_phase_one` builds for a random program
+    whose every rim is negative at the start, and the augmented start."""
+    raw, x = random_program(gen, 6, 2)
+    built = []
+
+    class Recording(bb_solver._BarrierProgram):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    prog = bb_solver._BarrierProgram(*raw)
+    monkeypatch.setattr(bb_solver, "_BarrierProgram", Recording)
+    bb_solver._phase_one(prog, -x, x.size)
+    worst = max(np.linalg.norm(j @ -x + y0) - c @ -x for j, y0, c in raw[2])
+    return built[0], np.concatenate([-x, [worst + 1.0]])
+
+
+def outside_reason(raw, x):
+    """Which test puts x outside the interior: ball, rim (s <= 0), cone, or None."""
+    p_quad, q_lin, cones, p_ball = raw
+    if 1.0 - x @ p_ball @ x <= 0:
+        return "ball"
+    for j_mat, y0, c in cones:
+        y = j_mat @ x + y0
+        if c @ x <= 0:
+            return "rim"
+        if (c @ x) ** 2 - y @ y <= 0:
+            return "cone"
+    return None
+
+
+def assert_evaluations_match_reference(raw, x, kappa):
+    """Interior verdict, cone terms, gradient and Hessian equal the
+    reference's bits at x, inside the interior or not."""
+    prog = bb_solver._BarrierProgram(*raw)
+    ref = BarrierProgramReference(*raw)
+    assert prog.interior(x) is ref.interior(x)
+    got, want = list(prog.cone_terms(x)), list(ref.cone_terms(x))
+    assert len(got) == len(want)
+    for term, ref_term in zip(got, want):
+        for value, ref_value in zip(term, ref_term):
+            np.testing.assert_array_equal(value, ref_value)
+    grad, hess = prog.grad_hess(x, kappa)
+    ref_grad, ref_hess = ref.grad_hess(x, kappa)
+    np.testing.assert_array_equal(grad, ref_grad)
+    np.testing.assert_array_equal(hess, ref_hess)
+
+
+def assert_centering_matches_reference(raw, x, kappa, **kwargs):
+    """newton_center returns the reference's point and decrement bit for bit;
+    returns the reference's step count and failed interior tests."""
+    ref = BarrierProgramReference(*raw)
+    want_x, want_dec, steps = ref.newton_center(x, kappa, **kwargs)
+    got_x, got_dec = bb_solver._BarrierProgram(*raw).newton_center(x, kappa, **kwargs)
+    np.testing.assert_array_equal(got_x, want_x)
+    np.testing.assert_array_equal(got_dec, want_dec)
+    return steps, ref.rejected
+
+
+class TestOneEvaluationPerIterate:
+    """The program that evaluates each iterate once gives the bits of the
+    one that evaluated it for the interior test and again for the Newton
+    system (tests/oracles.BarrierProgramReference)."""
+
+    @pytest.mark.parametrize("n_cones", [0, 1, 2])
+    def test_evaluations_match_reference(self, n_cones):
+        gen = Rng(106, n_cones).generator()
+        reasons = set()
+        for _ in range(5):
+            raw, x = random_program(gen, 8, n_cones)
+            points = [x, -x, 3.0 * x] + [x + scale * gen.normal(size=x.size)
+                                         for scale in (0.05, 0.2, 0.5, 1.0, 2.0) * 2]
+            for point in points:
+                reasons.add(outside_reason(raw, point))
+                for kappa in (1.0, 37.0, 3e8):
+                    assert_evaluations_match_reference(raw, point, kappa)
+        want = {None, "ball"} | ({"rim", "cone"} if n_cones else set())
+        assert reasons == want  # every branch of the interior test is taken
+
+    def test_phase_one_program_matches_reference(self, monkeypatch):
+        gen = Rng(106, 3).generator()
+        aug_raw, x_aug = phase_one_program(monkeypatch, gen)
+        for point in (x_aug, x_aug + 0.01 * gen.normal(size=x_aug.size), -x_aug):
+            for kappa in (1.0, 37.0):
+                assert_evaluations_match_reference(aug_raw, point, kappa)
+        for kappa in (1.0, 1e4):
+            steps, _ = assert_centering_matches_reference(aug_raw, x_aug, kappa)
+            assert steps > 1
+
+    @pytest.mark.parametrize("n_cones", [0, 1, 2])
+    def test_centering_matches_reference(self, n_cones):
+        gen = Rng(107, n_cones).generator()
+        ran_out = 0
+        for _ in range(3):
+            raw, x = random_program(gen, 8, n_cones)
+            for kappa in (1.0, 37.0, 3e8):
+                steps, _ = assert_centering_matches_reference(raw, x, kappa)
+                ran_out += steps == 120
+        assert ran_out >= 3  # a cold start at kappa = 3e8 ends on max_steps
+
+    def test_centering_with_backtracks_matches_reference(self):
+        # near a binding cone at a large weight the full step can leave the
+        # interior in floating point, so the step is halved
+        gen = Rng(108).generator()
+        raw, x = random_program(gen, 8, 2)
+        raw = (raw[0], 50.0 * raw[1], raw[2], raw[3])
+        ref = BarrierProgramReference(*raw)
+        for kappa in 30.0 ** np.arange(6):
+            x = ref.newton_center(x, kappa)[0]
+        _, rejected = assert_centering_matches_reference(raw, x, 1e14, max_steps=40)
+        assert rejected > 0
+
+    def test_centering_from_outside_matches_reference(self):
+        # a start outside the interior is evaluated as given, and when every
+        # halved step stays outside the start comes back after 61 halvings
+        gen = Rng(109).generator()
+        raw, x = random_program(gen, 8, 2)
+        _, rejected = assert_centering_matches_reference(raw, 3.0 * x, 1.0)
+        assert rejected == 61
 
 
 def polished_incumbent(f_rf, h, target, gam, f_start, noise=0.1, p_max=10.0):

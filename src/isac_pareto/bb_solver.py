@@ -481,8 +481,7 @@ def _phase_one(prog: _BarrierProgram, x0: np.ndarray, n: int) -> Optional[np.nda
         if x[-1] > -1e-12 and kappa > 1e9:
             break  # slack cannot be driven negative: empty interior
         kappa *= 10.0
-    candidate = x[:n]
-    return candidate if prog.interior(candidate) else None
+    return None
 
 
 def update_u(f_rf: np.ndarray, f_bb: np.ndarray, f_r: np.ndarray) -> np.ndarray:

@@ -11,7 +11,6 @@ spend the whole frame.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -20,45 +19,21 @@ from .model import dispersion
 from .numerics import RootBracket, bracketed_root, inv_q
 
 __all__ = [
-    "GammaThreshold",
-    "InfeasibleAllocation",
     "solve_gamma_threshold",
     "min_blocklength",
     "allocate_blocklengths",
 ]
 
 
-class InfeasibleAllocation(Exception):
-    """Raised when no integer blocklength split can meet the rate targets."""
-
-
-@dataclass(frozen=True)
-class GammaThreshold:
-    """Minimum SINR meeting a per-user rate target at fixed blocklength.
-
-    kappa is the root of the transcendental equation, tau the normalized
-    dispersion penalty Q^{-1}(eps)/sqrt(beta), delta = exp(-target).
-    """
-
-    gamma_min: float
-    kappa: float
-    tau: float
-    delta: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.kappa < 2.0 * self.tau + 1e-15:
-            raise ValueError("kappa must lie in [0, 2*tau)")
-        if self.gamma_min < 0:
-            raise ValueError("gamma_min must be nonnegative")
-
-
-def solve_gamma_threshold(target: float, beta: int, eps: float) -> GammaThreshold:
+def solve_gamma_threshold(target: float, beta: int, eps: float) -> float:
     """SINR threshold Gamma with fbl_rate(Gamma, beta, eps) = target.
 
-    target is the per-user rate goal in nats. The root k of
+    target is the per-user rate goal in nats. With tau = Q^{-1}(eps)/sqrt(beta)
+    the normalized dispersion penalty and delta = exp(-target), the root k of
     e^k (k^2 - 4 tau^2) = -4 delta^2 tau^2 is found by bisection on
     [0, 2*tau), where the bracket endpoints have opposite signs because
-    delta <= 1; Gamma = exp(target + k/2) - 1.
+    delta <= 1; Gamma = exp(target + k/2) - 1, so
+    exp(target) - 1 <= Gamma < exp(target + tau) - 1.
     """
     if target < 0:
         raise ValueError("rate target must be nonnegative")
@@ -66,12 +41,11 @@ def solve_gamma_threshold(target: float, beta: int, eps: float) -> GammaThreshol
         raise ValueError("blocklength must be >= 1")
     if not 0.0 < eps < 0.5:
         raise ValueError("error probability must lie in (0, 1/2)")
+    if target == 0.0:
+        return 0.0
 
     tau = inv_q(eps) / math.sqrt(beta)
     delta = math.exp(-target)
-    if target == 0.0:
-        return GammaThreshold(gamma_min=0.0, kappa=0.0, tau=tau, delta=delta)
-
     four_tau_sq = 4.0 * tau * tau
     const = delta * delta * four_tau_sq
 
@@ -79,15 +53,15 @@ def solve_gamma_threshold(target: float, beta: int, eps: float) -> GammaThreshol
         return math.exp(k) * (k * k - four_tau_sq) + const
 
     kappa = bracketed_root(f, RootBracket(0.0, 2.0 * tau, tol=1e-12))
-    gamma = math.exp(target + 0.5 * kappa) - 1.0
-    return GammaThreshold(gamma_min=gamma, kappa=kappa, tau=tau, delta=delta)
+    return math.exp(target + 0.5 * kappa) - 1.0
 
 
 def min_blocklength(gamma: float, target: float, eps: float) -> float:
     """Smallest (real) blocklength at which SINR gamma supports the target.
 
     (sqrt(V(gamma)) * Q^{-1}(eps) / (ln(1+gamma) - target))^2. A zero
-    target at zero SINR is vacuous and returns 0.
+    target is vacuous and returns 0; a target at or above the Shannon rate
+    ln(1+gamma) needs an infinite blocklength and returns math.inf.
     """
     if gamma < 0:
         raise ValueError("SINR must be nonnegative")
@@ -95,10 +69,7 @@ def min_blocklength(gamma: float, target: float, eps: float) -> float:
         return 0.0
     headroom = math.log1p(gamma) - target
     if headroom <= 0.0:
-        raise InfeasibleAllocation(
-            f"rate target {target:.6g} nats exceeds the Shannon rate "
-            f"{math.log1p(gamma):.6g} at SINR {gamma:.6g}"
-        )
+        return math.inf
     return (math.sqrt(dispersion(gamma)) * inv_q(eps) / headroom) ** 2
 
 
@@ -112,7 +83,8 @@ def allocate_blocklengths(
     """Integer blocklengths summing exactly to the frame budget, or None.
 
     Each user gets at least ceil of its real lower bound (and at least one
-    symbol). Leftover symbols go one at a time to the user with the
+    symbol); a bound beyond the frame, infinite ones included, means no
+    split exists. Leftover symbols go one at a time to the user with the
     smallest ratio of current blocklength to lower bound, ties to the
     lowest index, so the split tracks the relative slack.
     """
@@ -123,9 +95,8 @@ def allocate_blocklengths(
 
     lower = np.empty(m, dtype=np.int64)
     for i in range(m):
-        try:
-            bound = min_blocklength(float(gammas[i]), eta[i] * rate, eps[i])
-        except InfeasibleAllocation:
+        bound = min_blocklength(float(gammas[i]), eta[i] * rate, eps[i])
+        if bound > frame:
             return None
         lower[i] = max(1, math.ceil(bound))
     if int(lower.sum()) > frame:

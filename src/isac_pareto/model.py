@@ -48,12 +48,12 @@ NATS_PER_BIT = float(np.log(2.0))
 # absolute slack would void these checks for a budget or cap near its size
 CAP_RTOL = 1e-8
 # relative slack of the worst constraint margin (1 - SINR/Gamma per user),
-# shared by the baseband solver's check of its own output and the BCD's
-# checks of each stage: the barrier solution sits a gap of order 1/kappa off
-# a binding cone and its polish accepts slacks just below zero, so a zero
-# slack would reject points that meet a threshold to the solver's accuracy,
-# and with one number a point the cone solver returns is never judged
-# infeasible by the layer that called it
+# shared by the baseband solver's check of its own output, BMM's gate on its
+# start and iterates, and the BCD's checks of each stage: the barrier
+# solution sits a gap of order 1/kappa off a binding cone and its polish
+# accepts slacks just below zero, so a zero slack would reject points that
+# meet a threshold to the solver's accuracy, and with one number a point the
+# cone solver returns is never judged infeasible by the layer that called it
 FEAS_SLACK = 1e-6
 
 

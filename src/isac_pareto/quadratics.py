@@ -57,6 +57,8 @@ class QuadraticForms:
             raise ValueError("thresholds must be nonnegative")
         self.active = np.flatnonzero(self.gamma > 0)
         self.gamma_active = self.gamma[self.active]
+        # flat positions of the active users' own gains in an M x M array
+        self._own_gain = self.active * (self.m_users + 1)
 
         self.h_conj = self.h.conj()
         self.f_bb_conj = self.f_bb.conj()
@@ -96,7 +98,7 @@ class QuadraticForms:
 
     def _rbe(self, eff: np.ndarray) -> float:
         diff = eff - self.f_r_u
-        return float(np.real(np.vdot(diff, diff)))
+        return float(np.vdot(diff, diff).real)
 
     def constraint_margins(self, d: np.ndarray):
         """`model.constraint_margins` of the precoder encoded by d."""
@@ -115,12 +117,12 @@ class QuadraticForms:
         """(cross gains t = H^H F_rf F_bb, normalized SINR residuals of the
         active users, normalized power residual) of the composite precoder
         eff; each residual is feasible iff <= 0."""
-        power_res = (float(np.real(np.vdot(eff, eff))) - self.p_max) / self.p_max
+        power_res = (float(np.vdot(eff, eff).real) - self.p_max) / self.p_max
         t = self.h_conj @ eff
         powers = np.abs(t) ** 2
         totals = powers.sum(axis=1)
-        sig = powers[self.active, self.active]
-        interference = totals[self.active] - sig
+        sig = powers.take(self._own_gain)
+        interference = totals.take(self.active) - sig
         sinr_res = (interference - sig / self.gamma_active
                     + self.noise) / self.noise
         return t, sinr_res, power_res

@@ -25,7 +25,7 @@ from typing import List
 
 import numpy as np
 
-from .model import worst_margin
+from .model import FEAS_SLACK, worst_margin
 from .numerics import fast_unit, phase_project
 from .quadratics import QuadraticForms
 
@@ -48,9 +48,9 @@ _BRACKET_LIMIT = 2.0 ** MAX_BRACKET_DOUBLINGS
 MAX_BISECT_STEPS = 200
 # relative size below which |v + x*u|^2 in closed form is rounding noise
 _CANCEL = 64.0 * np.finfo(float).eps
-# surrogate-constraint window of the dual step, feasibility gate on the
-# iterates (relative constraint margins), and relative objective change that
-# ends the outer loop
+# surrogate-constraint window of the dual step, and relative objective
+# change that ends the outer loop; the start and every iterate are gated on
+# the shared feasibility slack FEAS_SLACK of their constraint margins
 TOL = 1e-6
 MAX_ITER = 500
 
@@ -111,7 +111,6 @@ class MajorizerSet:
 class BmmResult:
     d: np.ndarray
     objective_trace: List[float]
-    duals: DualState
     iterations: int
     converged: bool
 
@@ -311,7 +310,7 @@ def dual_bisection(ms: MajorizerSet, duals_in: DualState) -> DualState:
     return DualState(lam=lam, vartheta=vth, lagrangian_trace=trace)
 
 
-def bmm_solve(q: QuadraticForms, d_init: np.ndarray, max_iter: int = MAX_ITER) -> BmmResult:
+def bmm_solve(q: QuadraticForms, d_init: np.ndarray) -> BmmResult:
     """Full majorize / dual-bisect / phase-project loop from a feasible start.
 
     Iterates keep the original problem feasible (surrogate feasibility
@@ -321,19 +320,19 @@ def bmm_solve(q: QuadraticForms, d_init: np.ndarray, max_iter: int = MAX_ITER) -
     """
     d = _require_unit_modulus(d_init, "starting point")
     violation = worst_margin(q.constraint_margins(d))
-    if violation > TOL:
+    if violation > FEAS_SLACK:
         raise InfeasibleStart(
             f"starting point violates constraints by {violation:.3e} (relative)")
     duals = DualState.zeros(q.active.size)
     trace = [q.objective(d)]
     converged = False
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, MAX_ITER + 1):
         ms = majorize(q, d)
         duals = dual_bisection(ms, duals)
         candidate = primal_step(ms, duals)
         cand_obj = q.objective(candidate)
-        if cand_obj > trace[-1] or worst_margin(q.constraint_margins(candidate)) > TOL:
+        if cand_obj > trace[-1] or worst_margin(q.constraint_margins(candidate)) > FEAS_SLACK:
             converged = True  # stalled at numerical resolution
             break
         d = candidate
@@ -342,5 +341,5 @@ def bmm_solve(q: QuadraticForms, d_init: np.ndarray, max_iter: int = MAX_ITER) -
         if abs(trace[-1] - trace[-2]) / denom <= TOL:
             converged = True
             break
-    return BmmResult(d=d, objective_trace=trace, duals=duals,
-                     iterations=iterations, converged=converged)
+    return BmmResult(d=d, objective_trace=trace, iterations=iterations,
+                     converged=converged)

@@ -132,7 +132,7 @@ def euclidean_gradient(q: QuadraticForms, d: np.ndarray, mu: float,
     if mu != 0.0:
         acc = np.zeros_like(grad)
         t, sinr_res, power_res = q.residuals(eff) if parts is None else parts[1:]
-        for res, m in zip(sinr_res, q.active):
+        for res, m in zip(sinr_res.tolist(), q.active.tolist()):
             if res >= 0.0:
                 acc += (4.0 * res / q.noise) * q.delta_from_gains(t[m], m)
         if power_res >= 0.0:
@@ -147,7 +147,7 @@ def riemannian_gradient(d: np.ndarray, egrad: np.ndarray) -> np.ndarray:
 
 
 def _tangent(d: np.ndarray, d_conj: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return v - np.real(v * d_conj) * d
+    return v - (v * d_conj).real * d
 
 
 def retract(d: np.ndarray, step: float, zeta: np.ndarray) -> np.ndarray:
@@ -156,7 +156,7 @@ def retract(d: np.ndarray, step: float, zeta: np.ndarray) -> np.ndarray:
 
 
 def _grad_norm_sq(grad: np.ndarray) -> float:
-    return float(np.real(np.vdot(grad, grad)))
+    return float(np.vdot(grad, grad).real)
 
 
 def epmo_solve(q: QuadraticForms, d_init: np.ndarray,
@@ -203,7 +203,7 @@ def _rcg_minimize(q, d, mu, trace: List[dict], tol_grad: float) -> np.ndarray:
     for it in range(MAX_INNER):
         if gsq <= tol_grad:
             break
-        slope = float(np.real(np.vdot(grad, direction)))
+        slope = float(np.vdot(grad, direction).real)
         if slope >= 0.0:
             direction = -grad
             slope = -gsq
@@ -232,7 +232,7 @@ def _rcg_minimize(q, d, mu, trace: List[dict], tol_grad: float) -> np.ndarray:
                             euclidean_gradient(q, candidate, mu, parts))
         gsq_new = _grad_norm_sq(grad_new)
         diff = grad_new - _tangent(candidate, cand_conj, grad)
-        beta = max(0.0, float(np.real(np.vdot(grad_new, diff))) / max(gsq, 1e-300))
+        beta = max(0.0, float(np.vdot(grad_new, diff).real) / max(gsq, 1e-300))
         direction = -grad_new + beta * _tangent(candidate, cand_conj, direction)
         d, grad, gsq, f_val = candidate, grad_new, gsq_new, f_new
         trace.append({"iteration": it, "objective": f_val,

@@ -50,7 +50,6 @@ from .model import (
 )
 from .numerics import Rng, phase_project
 from .quadratics import QuadraticForms, build_quadratics
-from .rf_bmm import TOL as BMM_TOL
 from .rf_bmm import DualDivergence, InfeasibleStart, bmm_solve
 from .rf_epmo import epmo_solve
 
@@ -108,7 +107,12 @@ class InnerResult:
 
 @dataclass
 class ParetoPoint:
-    """One point of the error-rate region with everything that realized it."""
+    """One point of the error-rate region with everything that realized it.
+
+    The fields belong to the last accepted probe, and outer_trace has one
+    dict per probe (iteration, rate_nats, feasible, rbe). Without an
+    accepted probe the point is infeasible at rate 0 with rbe inf.
+    """
 
     feasible: bool
     rate_nats: float
@@ -118,9 +122,6 @@ class ParetoPoint:
     beta: Optional[np.ndarray]
     scheme: str
     outer_trace: List[dict] = field(default_factory=list)
-    inner_trace: List[float] = field(default_factory=list)
-    bisection_iterations: int = 0
-    rate_upper_init: float = 0.0
 
 
 def rate_upper_bound(cfg: SystemConfig, ch: ChannelSet) -> float:
@@ -176,9 +177,7 @@ def _gamma_thresholds(cfg: SystemConfig, rate: float, betas: np.ndarray,
         if rate_mode == "ibl":
             gammas[m] = math.exp(target) - 1.0
         else:
-            gammas[m] = solve_gamma_threshold(
-                target, int(betas[m]), cfg.eps[m]
-            ).gamma_min
+            gammas[m] = solve_gamma_threshold(target, int(betas[m]), cfg.eps[m])
     return gammas
 
 
@@ -195,7 +194,7 @@ def _rf_step(q: QuadraticForms, d_start: np.ndarray, opts: SolveOptions):
             # the handoff must clear the majorization solver's feasibility
             # gate, so the repair is asked for a squared-hinge sum whose
             # per-constraint residuals sit safely inside it
-            repair = epmo_solve(q, d_feas, tol_violation=(0.5 * BMM_TOL) ** 2)
+            repair = epmo_solve(q, d_feas, tol_violation=(0.5 * FEAS_SLACK) ** 2)
             if not repair.feasible:
                 return None
             d_feas = repair.d
@@ -218,7 +217,6 @@ def inner_bcd(
     init: HybridPrecoder,
     opts: SolveOptions,
     gammas: Optional[np.ndarray] = None,
-    betas: Optional[np.ndarray] = None,
 ) -> InnerResult:
     """Block-coordinate RBE minimization at a fixed sum rate.
 
@@ -226,12 +224,11 @@ def inner_bcd(
     accepted only if it does not increase the error while staying feasible,
     so the returned trace is nonincreasing; subproblem infeasibility is a
     result, not an exception, because the outer layer consumes it as a
-    bisection verdict.
+    bisection verdict. The thresholds default to an even blocklength split.
     """
-    if betas is None:
-        betas = _even_split(cfg.frame_budget, cfg.n_cu)
     if gammas is None:
-        gammas = _gamma_thresholds(cfg, rate, betas, opts.rate_mode)
+        gammas = _gamma_thresholds(cfg, rate, _even_split(cfg.frame_budget, cfg.n_cu),
+                                   opts.rate_mode)
 
     f_rf = init.f_rf.copy()
     f_bb = init.f_bb.copy()
@@ -300,10 +297,9 @@ def _even_split(frame: int, m: int) -> np.ndarray:
 
 
 def _attempt_rate(rate, cfg, ch, rs, init, opts, incumbent_beta):
-    """One bisection probe: inner solve plus blocklength allocation."""
+    """One bisection probe: (blocklength split, or None if rejected; inner result)."""
     gammas = _gamma_thresholds(cfg, rate + RATE_PAD, incumbent_beta, opts.rate_mode)
-    inner = inner_bcd(rate, cfg, ch, rs, init, opts, gammas=gammas,
-                      betas=incumbent_beta)
+    inner = inner_bcd(rate, cfg, ch, rs, init, opts, gammas=gammas)
     if not inner.feasible:
         return None, inner
     pc = inner.precoder
@@ -312,12 +308,9 @@ def _attempt_rate(rate, cfg, ch, rs, init, opts, incumbent_beta):
     if pc.transmit_power() > cfg.p_max * (1.0 + CAP_RTOL):
         return None, inner
     if opts.rate_mode == "ibl":
-        return (pc, incumbent_beta.copy(), inner), inner
+        return incumbent_beta.copy(), inner
     achieved = sinr(ch, pc, cfg.noise)
-    betas = allocate_blocklengths(achieved, rate, cfg.eta, cfg.eps, cfg.frame_budget)
-    if betas is None:
-        return None, inner
-    return (pc, betas, inner), inner
+    return allocate_blocklengths(achieved, rate, cfg.eta, cfg.eps, cfg.frame_budget), inner
 
 
 def tlbs_solve(
@@ -330,8 +323,8 @@ def tlbs_solve(
 
     The bracket starts at [0, sum of single-user Shannon bounds] and halves
     a fixed number of times (ceil(log2(width/tolerance))), keeping the last
-    feasible midpoint with its precoders, blocklengths, and traces. The
-    SINR thresholds at each midpoint use the blocklengths of the incumbent
+    feasible midpoint with its precoder and blocklengths. The SINR
+    thresholds at each midpoint use the blocklengths of the incumbent
     feasible point (even split initially); allocation afterwards uses the
     SINRs the converged precoder actually achieves.
     """
@@ -339,11 +332,9 @@ def tlbs_solve(
     init = init_precoder(cfg, ch, rs, Rng(opts.seed), opts.rf_method)
 
     rate_low = 0.0
-    rate_upper_init = rate_upper_bound(cfg, ch)
-    rate_high = rate_upper_init
+    rate_high = rate_upper_bound(cfg, ch)
     incumbent_beta = _even_split(cfg.frame_budget, cfg.n_cu)
-    best = None
-    best_rate = 0.0
+    best = None   # (rate, betas, inner) of the last accepted probe
     outer_trace: List[dict] = []
 
     width = rate_high - rate_low
@@ -351,20 +342,17 @@ def tlbs_solve(
 
     for k in range(n_iter):
         rate = 0.5 * (rate_low + rate_high)
-        accepted, inner = _attempt_rate(rate, cfg, ch, rs, init, opts, incumbent_beta)
-        if accepted is not None:
-            pc, betas, inner_res = accepted
+        betas, inner = _attempt_rate(rate, cfg, ch, rs, init, opts, incumbent_beta)
+        if betas is not None:
             rate_low = rate
-            best = accepted
-            best_rate = rate
-            if opts.rate_mode == "fbl":
-                incumbent_beta = betas
+            incumbent_beta = betas
+            best = (rate, betas, inner)
         else:
             rate_high = rate
         outer_trace.append({
             "iteration": k,
             "rate_nats": rate,
-            "feasible": accepted is not None,
+            "feasible": betas is not None,
             "rbe": inner.rbe,
         })
 
@@ -372,22 +360,17 @@ def tlbs_solve(
         return ParetoPoint(
             feasible=False, rate_nats=0.0, rate_bits=0.0, rbe=np.inf,
             precoder=None, beta=None, scheme=scheme, outer_trace=outer_trace,
-            bisection_iterations=n_iter,
-            rate_upper_init=rate_upper_init,
         )
-    pc, betas, inner_res = best
+    rate, betas, inner = best
     return ParetoPoint(
         feasible=True,
-        rate_nats=best_rate,
-        rate_bits=best_rate / NATS_PER_BIT,
-        rbe=inner_res.rbe,
-        precoder=pc,
+        rate_nats=rate,
+        rate_bits=rate / NATS_PER_BIT,
+        rbe=inner.rbe,
+        precoder=inner.precoder,
         beta=np.asarray(betas),
         scheme=scheme,
         outer_trace=outer_trace,
-        inner_trace=inner_res.trace,
-        bisection_iterations=n_iter,
-        rate_upper_init=rate_upper_init,
     )
 
 
@@ -397,8 +380,8 @@ def probe_rate(cfg, ch, rs, opts, rate,
     init = init_precoder(cfg, ch, rs, Rng(opts.seed), opts.rf_method)
     if incumbent_beta is None:
         incumbent_beta = _even_split(cfg.frame_budget, cfg.n_cu)
-    accepted, _ = _attempt_rate(rate, cfg, ch, rs, init, opts, incumbent_beta)
-    return accepted is not None
+    betas, _ = _attempt_rate(rate, cfg, ch, rs, init, opts, incumbent_beta)
+    return betas is not None
 
 
 def validate_point(cfg: SystemConfig, ch: ChannelSet, rs: RadarSpec,

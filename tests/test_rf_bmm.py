@@ -170,11 +170,12 @@ class TestDualBisection:
 
 
 class TestBmmSolve:
-    def test_unconstrained_matches_repeated_phase_projection(self):
+    def test_unconstrained_matches_repeated_phase_projection(self, monkeypatch):
         gen = Rng(60).generator()
         q, _, _ = make_instance(gen, gamma=np.array([0.0, 0.0]), p_max=1e9)
         d0 = random_unit_modulus(gen, q.d_dim)
-        result = bmm_solve(q, d0, max_iter=40)
+        monkeypatch.setattr(rf_bmm, "MAX_ITER", 40)
+        result = bmm_solve(q, d0)
         # replicate: duals stay zero so each step is the bare projection
         d = d0
         trace = [q.objective(d)]
@@ -224,12 +225,13 @@ class TestBmmSolve:
                 break
         assert done >= 10
 
-    def test_descent_chain_inequalities(self):
+    def test_descent_chain_inequalities(self, monkeypatch):
         # objective <= surrogate at next point <= surrogate at anchor = objective
         gen = Rng(63).generator()
         q, _, _ = make_instance(gen, gamma=np.array([0.5, 0.5]), noise=0.1)
         d0 = feasible_start(q, gen, tries=2000)
-        result = bmm_solve(q, d0, max_iter=5)
+        monkeypatch.setattr(rf_bmm, "MAX_ITER", 5)
+        result = bmm_solve(q, d0)
         d = d0
         duals = DualState.zeros(q.active.size)
         for _ in range(3):
@@ -412,7 +414,8 @@ class TestWarmStart:
         monkeypatch.setattr(rf_bmm._ConstraintProbe, "at_zero", counted_zero)
         monkeypatch.setattr(rf_bmm, "_solve_multiplier", counted_solve)
         (q, d0), = chain_instances(Rng(76).generator(), 1)
-        result = bmm_solve(q, d0, max_iter=20)
+        monkeypatch.setattr(rf_bmm, "MAX_ITER", 20)
+        result = bmm_solve(q, d0)
         assert result.iterations >= 10
         assert len(solved) >= 20
         assert np.mean(solved) <= 4.5

@@ -1,7 +1,9 @@
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -9,7 +11,6 @@ import pytest
 import isac_pareto
 from isac_pareto import rf_epmo, tlbs
 from isac_pareto.channel import generate_channels
-from isac_pareto.fbl import solve_gamma_threshold
 from isac_pareto.model import SystemConfig, fbl_rate, ideal_radar_precoder, rbe, sinr
 from isac_pareto.numerics import Rng, phase_project
 from isac_pareto.tlbs import (
@@ -77,6 +78,74 @@ def radar_fit_oracle(cfg, ch, rs, init, iters=200):
     return err
 
 
+def _solve(seed, e_max=None, **options):
+    """tlbs_solve with EPMO on scenario(seed), its cap optionally replaced."""
+    cfg, ch, rs = scenario(seed=seed)
+    if e_max is not None:
+        cfg = cfg.with_updates(e_max=e_max)
+    return tlbs_solve(cfg, ch, rs, SolveOptions(rf_method="epmo", **options))
+
+
+def _bcd_at_easy_thresholds(method, seed):
+    """inner_bcd at 5 nats with comfortably feasible thresholds."""
+    cfg, ch, rs = scenario(seed=seed)
+    init = init_precoder(cfg, ch, rs, Rng(17, seed), method)
+    opts = SolveOptions(rf_method=method)
+    gammas = np.full(2, 30.0)  # comfortably feasible thresholds
+    return inner_bcd(5.0, cfg, ch, rs, init, opts, gammas=gammas)
+
+
+# the slow solves of this module, (function, args, keyword args) in the
+# order the tests read them
+_SLOW_SOLVES = (
+    [(_bcd_at_easy_thresholds, (method, seed), {})
+     for method in ("epmo", "bmm") for seed in range(20)]
+    + [(_solve, (3,), dict(tol_rate=0.02)), (_solve, (4,), {}), (_solve, (5,), {})]
+    + [(_solve, (6,), dict(e_max=cap)) for cap in (0.05, 0.2, 0.8)]
+    + [(_solve, (8,), {})]
+)
+
+
+class Solves:
+    """Deterministic solves run in two worker processes.
+
+    Each slow test of this module spends a minute or more in solver calls
+    that do not depend on each other, so the fixture queues all of them at
+    once and a test waits only for its own results; a call that was not
+    queued is submitted when first asked for. The workers are forked from
+    the test process before any test patches a module, with BLAS pinned to
+    one thread (conftest.py), so a result is bit-identical to an
+    in-process call.
+    """
+
+    def __init__(self, pool):
+        self._pool = pool
+        self._futures = {}
+
+    def _future(self, fn, args, kwargs):
+        key = (fn.__name__, args, tuple(sorted(kwargs.items())))
+        if key not in self._futures:
+            self._futures[key] = self._pool.submit(fn, *args, **kwargs)
+        return self._futures[key]
+
+    def submit(self, fn, *args, **kwargs):
+        self._future(fn, args, kwargs)
+
+    def get(self, fn, *args, **kwargs):
+        return self._future(fn, args, kwargs).result()
+
+
+@pytest.fixture(scope="module")
+def solves():
+    context = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(max_workers=2, mp_context=context) as pool:
+        runs = Solves(pool)
+        for fn, args, kwargs in _SLOW_SOLVES:
+            runs.submit(fn, *args, **kwargs)
+        yield runs
+        pool.shutdown(cancel_futures=True)
+
+
 class TestInitPrecoder:
     def test_invariants(self):
         cfg, ch, rs = scenario()
@@ -109,8 +178,7 @@ class TestInnerBcd:
         cfg, ch, rs = scenario(p_max=10.0)
         init = init_precoder(cfg, ch, rs, Rng(3), "epmo")
         opts = SolveOptions(rf_method="epmo", tol_bcd=1e-6, max_bcd=100)
-        res = inner_bcd(0.0, cfg, ch, rs, init, opts,
-                        gammas=np.zeros(2), betas=np.array([64, 64]))
+        res = inner_bcd(0.0, cfg, ch, rs, init, opts, gammas=np.zeros(2))
         assert res.feasible
         want = radar_fit_oracle(cfg, ch, rs, init)
         # both are local descent methods from one start; they must agree on
@@ -125,23 +193,17 @@ class TestInnerBcd:
         rs = ideal_radar_precoder(cfg.target_angles_deg, cfg.geometry, power=4.0)
         init = init_precoder(cfg, ch, rs, Rng(3), "epmo")
         opts = SolveOptions(rf_method="epmo", tol_bcd=1e-6, max_bcd=100)
-        res = inner_bcd(0.0, cfg, ch, rs, init, opts,
-                        gammas=np.zeros(2), betas=np.array([64, 64]))
+        res = inner_bcd(0.0, cfg, ch, rs, init, opts, gammas=np.zeros(2))
         assert res.feasible
         floor = (np.sqrt(4.0) - np.sqrt(cfg.p_max)) ** 2
         assert res.rbe >= floor - 1e-9
         assert res.rbe <= floor * 1.2 + 1e-6
 
     @pytest.mark.parametrize("method", ["epmo", "bmm"])
-    def test_trace_nonincreasing(self, method):
+    def test_trace_nonincreasing(self, method, solves):
         done = 0
         for seed in range(30):
-            cfg, ch, rs = scenario(seed=seed)
-            init = init_precoder(cfg, ch, rs, Rng(17, seed), method)
-            opts = SolveOptions(rf_method=method)
-            gammas = np.full(2, 30.0)  # comfortably feasible thresholds
-            res = inner_bcd(5.0, cfg, ch, rs, init, opts,
-                            gammas=gammas, betas=np.array([64, 64]))
+            res = solves.get(_bcd_at_easy_thresholds, method, seed)
             if not res.feasible:
                 continue
             trace = np.array(res.trace)
@@ -156,11 +218,9 @@ class TestInnerBcd:
         init = init_precoder(cfg, ch, rs, Rng(5), "epmo")
         opts = SolveOptions(rf_method="epmo")
         gammas = np.full(2, 10.0)
-        first = inner_bcd(3.0, cfg, ch, rs, init, opts,
-                          gammas=gammas, betas=np.array([64, 64]))
+        first = inner_bcd(3.0, cfg, ch, rs, init, opts, gammas=gammas)
         assert first.feasible
-        second = inner_bcd(3.0, cfg, ch, rs, first.precoder, opts,
-                           gammas=gammas, betas=np.array([64, 64]))
+        second = inner_bcd(3.0, cfg, ch, rs, first.precoder, opts, gammas=gammas)
         assert second.feasible
         rel = abs(second.rbe - first.rbe) / max(first.rbe, 1e-30)
         assert rel <= opts.tol_bcd * 10
@@ -172,8 +232,7 @@ class TestInnerBcd:
         monkeypatch.setattr(rf_epmo, "MAX_INNER", 80)
         opts = SolveOptions(rf_method="epmo")
         gammas = np.full(2, 1e12)  # far beyond the power budget
-        res = inner_bcd(20.0, cfg, ch, rs, init, opts,
-                        gammas=gammas, betas=np.array([64, 64]))
+        res = inner_bcd(20.0, cfg, ch, rs, init, opts, gammas=gammas)
         assert not res.feasible
         assert res.precoder is None
 
@@ -193,8 +252,7 @@ class TestInnerBcd:
         monkeypatch.setattr(rf_epmo, "MAX_OUTER", 4)
         monkeypatch.setattr(rf_epmo, "MAX_INNER", 80)
         opts = SolveOptions(rf_method="epmo")
-        res = inner_bcd(20.0, cfg, ch, rs, init, opts,
-                        gammas=np.full(2, 1e12), betas=np.array([64, 64]))
+        res = inner_bcd(20.0, cfg, ch, rs, init, opts, gammas=np.full(2, 1e12))
         assert not res.feasible
         assert res.reason == "RF stage infeasible"
         assert len(calls) == 1
@@ -241,19 +299,17 @@ def test_import_loads_no_scipy_subpackage_but_special():
 
 
 class TestTlbsSolve:
-    def test_bisection_iteration_count_exact(self):
+    def test_bisection_iteration_count_exact(self, solves):
         cfg, ch, rs = scenario(seed=3)
         opts = SolveOptions(rf_method="epmo", tol_rate=0.02)
-        point = tlbs_solve(cfg, ch, rs, opts)
-        width = point.rate_upper_init
+        point = solves.get(_solve, 3, tol_rate=0.02)
+        width = rate_upper_bound(cfg, ch)
         want = math.ceil(math.log2(width / opts.tol_rate))
-        assert point.bisection_iterations == want
         assert len(point.outer_trace) == want
 
-    def test_feasible_point_invariants(self):
+    def test_feasible_point_invariants(self, solves):
         cfg, ch, rs = scenario(seed=4)
-        opts = SolveOptions(rf_method="epmo")
-        point = tlbs_solve(cfg, ch, rs, opts)
+        point = solves.get(_solve, 4)
         assert point.feasible
         assert validate_point(cfg, ch, rs, point) == []
         assert point.rbe <= cfg.e_max + 1e-8
@@ -264,22 +320,20 @@ class TestTlbsSolve:
                 cfg.eta[m] * point.rate_nats - 1e-6
             )
 
-    def test_bracketing_certificate(self):
+    def test_bracketing_certificate(self, solves):
         cfg, ch, rs = scenario(seed=5)
         opts = SolveOptions(rf_method="epmo")
-        point = tlbs_solve(cfg, ch, rs, opts)
+        point = solves.get(_solve, 5)
         assert point.feasible
         # one tolerance above the returned rate must be infeasible through
         # the same pipeline (with the final incumbent blocklengths)
         assert not probe_rate(cfg, ch, rs, opts, point.rate_nats + opts.tol_rate,
                               incumbent_beta=point.beta)
 
-    def test_rate_nondecreasing_in_error_cap(self):
-        cfg, ch, rs = scenario(seed=6)
+    def test_rate_nondecreasing_in_error_cap(self, solves):
         rates = []
         for cap in (0.05, 0.2, 0.8):
-            opts = SolveOptions(rf_method="epmo")
-            point = tlbs_solve(cfg.with_updates(e_max=cap), ch, rs, opts)
+            point = solves.get(_solve, 6, e_max=cap)
             rates.append(point.rate_nats if point.feasible else 0.0)
         assert rates[0] <= rates[1] + 1e-9 and rates[1] <= rates[2] + 1e-9
 
@@ -342,10 +396,9 @@ class TestInfiniteBlocklength:
 
 
 class TestValidatePoint:
-    def test_detects_tampering(self):
+    def test_detects_tampering(self, solves):
         cfg, ch, rs = scenario(seed=8)
-        opts = SolveOptions(rf_method="epmo")
-        point = tlbs_solve(cfg, ch, rs, opts)
+        point = solves.get(_solve, 8)
         assert point.feasible and validate_point(cfg, ch, rs, point) == []
         point.precoder.f_bb *= 3.0  # breaks power and the recorded error
         assert validate_point(cfg, ch, rs, point) != []

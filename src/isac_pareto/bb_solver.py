@@ -35,11 +35,9 @@ import numpy as np
 from .model import CAP_RTOL, FEAS_SLACK, constraint_margins
 
 __all__ = [
-    "SocpInstance",
     "SocpSolution",
     "InfeasibleSubproblem",
     "SolverError",
-    "make_socp_instance",
     "solve_bb",
     "update_u",
 ]
@@ -56,55 +54,11 @@ class SolverError(RuntimeError):
     """Newton iterations failed to reach the requested residual."""
 
 
-@dataclass(frozen=True)
-class SocpInstance:
-    """Baseband subproblem data; only active (positive) thresholds get a cone.
-
-    h_eff_all[m] is the effective channel h_m^H rf of user m, so the cross
-    gains t[m, n] = h_eff_all[m] f_n are linear in the baseband columns.
-    It keeps every user's effective channel (interference sources include
-    users whose own SINR constraint was dropped).
-    """
-
-    rf: np.ndarray            # (N_t, N_rf) fixed mixing stage
-    h: np.ndarray             # (M, N_t) user channels
-    h_eff_all: np.ndarray     # (M, N_rf)
-    target: np.ndarray        # (N_t, M) sensing target rf-stage output should match
-    gamma: np.ndarray         # (M,) thresholds; zero marks a dropped constraint
-    active: np.ndarray        # (K,) active user indices
-    p_max: float
-    noise: float
-
-    def __post_init__(self):
-        if np.any(self.gamma[self.active] <= 0):
-            raise ValueError("active thresholds must be positive")
-        if self.p_max <= 0 or self.noise <= 0:
-            raise ValueError("power budget and noise must be positive")
-
-
 @dataclass
 class SocpSolution:
     f_bb: np.ndarray
     objective: float
     kkt_residual: float
-
-
-def make_socp_instance(rf, h, target, gammas, p_max, noise) -> SocpInstance:
-    """Assemble the subproblem, dropping zero-threshold constraints."""
-    rf = np.asarray(rf, dtype=np.complex128)
-    h = np.asarray(h, dtype=np.complex128)
-    gammas = np.asarray(gammas, dtype=float)
-    active = np.flatnonzero(gammas > 0)
-    return SocpInstance(
-        rf=rf,
-        h=h,
-        h_eff_all=h.conj() @ rf,   # row m is h_m^H rf
-        target=np.asarray(target, dtype=np.complex128),
-        gamma=gammas,
-        active=active,
-        p_max=float(p_max),
-        noise=float(noise),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -251,19 +205,24 @@ class _BarrierProgram:
             kappa = min(kappa * factor, kappa_target)
 
 
-def _build_cone_rows(inst: SocpInstance, n_rf: int, m_users: int, phases: np.ndarray):
+def _build_cone_rows(h_eff_all: np.ndarray, active: np.ndarray, gammas: np.ndarray,
+                     noise: float, phases: np.ndarray):
     """SINR cone data in root-noise units: J x + y0 inside, c^T x on the rim.
 
-    phases[k] rotates the rim functional of active user k to
-    Re(e^{-j phase} t_{m,m}): the rate constraint itself is invariant to each
-    column's phase, so the rim may point at any representative; solve_bb
-    points it at the incumbent's diagonal gain.
+    h_eff_all[m] is user m's effective channel h_m^H rf, so the cross gains
+    t[m, n] = h_eff_all[m] f_n are linear in the baseband columns; every
+    user's row enters the interference terms, but only the active users
+    (positive thresholds) get a cone. phases[k] rotates the rim functional
+    of active user k to Re(e^{-j phase} t_{m,m}): the rate constraint itself
+    is invariant to each column's phase, so the rim may point at any
+    representative; solve_bb points it at the incumbent's diagonal gain.
     """
+    m_users, n_rf = h_eff_all.shape
     n = 2 * n_rf * m_users
-    root_noise = np.sqrt(inst.noise)
+    root_noise = np.sqrt(noise)
     cones = []
-    for k, m in enumerate(inst.active):
-        h_eff = inst.h_eff_all[m]  # (N_rf,) row: t_{m,n} = h_eff @ f_n
+    for k, m in enumerate(active):
+        h_eff = h_eff_all[m]  # (N_rf,) row: t_{m,n} = h_eff @ f_n
         j_rows = np.zeros((2 * m_users + 1, n))
         y0 = np.zeros(2 * m_users + 1)
         y0[-1] = 1.0
@@ -277,49 +236,61 @@ def _build_cone_rows(inst: SocpInstance, n_rf: int, m_users: int, phases: np.nda
             j_rows[2 * nn + 1, :n // 2] = cvec.imag
             j_rows[2 * nn + 1, n // 2:] = cvec.real
             if nn == m:
-                scale = np.sqrt(1.0 + 1.0 / inst.gamma[m])
+                scale = np.sqrt(1.0 + 1.0 / gammas[m])
                 c_row = scale * (np.cos(phases[k]) * j_rows[2 * nn]
                                  + np.sin(phases[k]) * j_rows[2 * nn + 1])
         cones.append((j_rows, y0, c_row))
     return cones
 
 
-def solve_bb(inst: SocpInstance, f_ref: Optional[np.ndarray] = None) -> SocpSolution:
-    """Minimize the sensing mismatch subject to SINR cones and a power ball.
+def solve_bb(rf, h, target, gammas, p_max, noise,
+             f_ref: Optional[np.ndarray] = None) -> SocpSolution:
+    """Minimize ||rf F_bb - target||^2 subject to SINR cones and a power ball.
 
-    One cone program is solved, with each user's rim rotated to the phase of
-    the diagonal gain h_m^H rf f_m at f_ref (the incumbent baseband
-    precoder; the unconstrained least-squares fit when None). Rotating
-    column m of F_bb and of U by one phase changes neither the objective,
-    nor any SINR, nor the power, so h_m^H rf f_m may be taken real and
-    positive without loss (Wiesel, Eldar & Shamai 2006, "Linear precoding
-    via conic optimization for fixed MIMO receivers", here with the
-    RBE-with-U objective of Liu et al. 2018, "MU-MIMO communications with
-    MIMO radar"). A feasible f_ref therefore lies inside the rotated cones
-    and the solution is never worse than it; the next call, seeded with this
-    solution, realigns the rim.
+    h holds the user channels as rows and gammas one SINR threshold per
+    user; a zero threshold drops that user's cone. One cone program is
+    solved, with each user's rim rotated to the phase of the diagonal gain
+    h_m^H rf f_m at f_ref (the incumbent baseband precoder; the
+    unconstrained least-squares fit when None). Rotating column m of F_bb
+    and of U by one phase changes neither the objective, nor any SINR, nor
+    the power, so h_m^H rf f_m may be taken real and positive without loss
+    (Wiesel, Eldar & Shamai 2006, "Linear precoding via conic optimization
+    for fixed MIMO receivers", here with the RBE-with-U objective of Liu et
+    al. 2018, "MU-MIMO communications with MIMO radar"). A feasible f_ref
+    therefore lies inside the rotated cones and the solution is never worse
+    than it; the next call, seeded with this solution, realigns the rim.
 
-    Raises InfeasibleSubproblem when the slack-minimization phase certifies
-    an empty interior, SolverError if Newton stalls above KKT_TOL.
+    Raises ValueError on a nonpositive budget or noise, InfeasibleSubproblem
+    when the slack-minimization phase certifies an empty interior, and
+    SolverError if Newton stalls above KKT_TOL.
     """
-    n_rf = inst.rf.shape[1]
-    m_users = inst.target.shape[1]
+    rf = np.asarray(rf, dtype=np.complex128)
+    h = np.asarray(h, dtype=np.complex128)
+    target = np.asarray(target, dtype=np.complex128)
+    gammas = np.asarray(gammas, dtype=float)
+    p_max, noise = float(p_max), float(noise)
+    if p_max <= 0 or noise <= 0:
+        raise ValueError("power budget and noise must be positive")
+    h_eff_all = h.conj() @ rf   # row m is h_m^H rf
+    active = np.flatnonzero(gammas > 0)
+    n_rf = rf.shape[1]
+    m_users = target.shape[1]
     n = 2 * n_rf * m_users
 
     # objective ||rf F_bb - target||^2 = x^T P x - 2 q^T x + const
-    a_c = np.kron(np.eye(m_users), inst.rf)
+    a_c = np.kron(np.eye(m_users), rf)
     a_real = _lift_matrix(a_c)
-    b_real = _lift_vector(inst.target.reshape(-1, order="F"))
+    b_real = _lift_vector(target.reshape(-1, order="F"))
     p_quad = a_real.T @ a_real
     q_lin = a_real.T @ b_real
-    p_ball = p_quad / inst.p_max
+    p_ball = p_quad / p_max
     x_ls = np.linalg.lstsq(a_real, b_real, rcond=None)[0]
 
     if f_ref is None:
         f_ref = _unlift(x_ls, n_rf, m_users)
-    gains = inst.h_eff_all @ f_ref  # t[m, n] = h_m^H rf f_n
-    cones = _build_cone_rows(inst, n_rf, m_users,
-                             np.angle(gains[inst.active, inst.active]))
+    gains = h_eff_all @ f_ref  # t[m, n] = h_m^H rf f_n
+    cones = _build_cone_rows(h_eff_all, active, gammas, noise,
+                             np.angle(gains[active, active]))
 
     ball = float(x_ls @ p_ball @ x_ls)
     x0 = x_ls if ball < 0.81 else x_ls * (0.9 / np.sqrt(max(ball, 1e-300)))
@@ -328,7 +299,7 @@ def solve_bb(inst: SocpInstance, f_ref: Optional[np.ndarray] = None) -> SocpSolu
 
     prog = _BarrierProgram(p_quad, q_lin, cones, p_ball)
     if cones and not prog.interior(x0):
-        x0 = _phase_one(prog, x0, n)
+        x0 = _phase_one(prog, x0)
         if x0 is None:
             raise InfeasibleSubproblem(
                 "no baseband precoder meets the SINR cones within the power budget"
@@ -346,15 +317,14 @@ def solve_bb(inst: SocpInstance, f_ref: Optional[np.ndarray] = None) -> SocpSolu
         raise SolverError(f"stationarity residual {kkt_residual:.3e} above {KKT_TOL:.1e}")
 
     f_bb = _unlift(x_opt, n_rf, m_users)
-    eff = inst.rf @ f_bb
-    shortfall, power_excess = constraint_margins(eff, inst.h, inst.gamma,
-                                                 inst.noise, inst.p_max)
+    eff = rf @ f_bb
+    shortfall, power_excess = constraint_margins(eff, h, gammas, noise, p_max)
     worst = np.max(shortfall, initial=-np.inf)
     if worst > FEAS_SLACK:
         raise SolverError(f"returned point misses an SINR threshold by {worst:.3e} (relative)")
     if power_excess > CAP_RTOL:
         raise SolverError(f"returned point exceeds the power budget by {power_excess:.3e} (relative)")
-    objective = float(np.linalg.norm(eff - inst.target) ** 2)
+    objective = float(np.linalg.norm(eff - target) ** 2)
     return SocpSolution(f_bb=f_bb, objective=objective, kkt_residual=kkt_residual)
 
 
@@ -365,9 +335,11 @@ def _constraint_terms(prog: _BarrierProgram, x: np.ndarray):
     return terms
 
 
-def _stationarity(prog: _BarrierProgram, x: np.ndarray, nus: np.ndarray) -> float:
+def _stationarity(prog: _BarrierProgram, x: np.ndarray, nus: np.ndarray,
+                  terms: list) -> float:
+    """Stationarity residual at x, from the `_constraint_terms` of x."""
     grad_f0 = 2.0 * (prog.p_quad @ x - prog.q_lin)
-    for nu, (u, du, d2u) in zip(nus, _constraint_terms(prog, x)):
+    for nu, (u, du, d2u) in zip(nus, terms):
         grad_f0 -= nu * du
     return float(np.linalg.norm(grad_f0))
 
@@ -408,9 +380,10 @@ def _refine_with_active_set(prog: _BarrierProgram, x: np.ndarray,
         nua = nua + scale * delta[n:]
     refined_nus = np.zeros_like(nus)
     refined_nus[active] = np.maximum(nua, 0.0)
-    feasible = all(u >= -1e-10 for u, _, _ in _constraint_terms(prog, xa))
+    terms = _constraint_terms(prog, xa)
+    feasible = all(u >= -1e-10 for u, _, _ in terms)
     if feasible and np.all(nua >= -1e-10):
-        return xa, _stationarity(prog, xa, refined_nus)
+        return xa, _stationarity(prog, xa, refined_nus, terms)
     return None, np.inf
 
 
@@ -426,7 +399,7 @@ def _kkt_refine(prog: _BarrierProgram, x: np.ndarray, kappa: float):
     """
     terms = _constraint_terms(prog, x)
     nus = np.array([1.0 / (kappa * u) for u, _, _ in terms])
-    best_x, best_res = x, _stationarity(prog, x, nus)
+    best_x, best_res = x, _stationarity(prog, x, nus, terms)
 
     seen = set()
     for threshold in (1e-5, 1e-3, 1e-7, 1e-1):
@@ -437,7 +410,7 @@ def _kkt_refine(prog: _BarrierProgram, x: np.ndarray, kappa: float):
         seen.add(active)
         if not active:
             # interior optimum: stationarity with zero multipliers
-            res = _stationarity(prog, x, np.zeros_like(nus))
+            res = _stationarity(prog, x, np.zeros_like(nus), terms)
             if res < best_res:
                 best_x, best_res = x, res
             continue
@@ -447,13 +420,14 @@ def _kkt_refine(prog: _BarrierProgram, x: np.ndarray, kappa: float):
     return best_x, best_res
 
 
-def _phase_one(prog: _BarrierProgram, x0: np.ndarray, n: int) -> Optional[np.ndarray]:
+def _phase_one(prog: _BarrierProgram, x0: np.ndarray) -> Optional[np.ndarray]:
     """Minimize the worst cone slack; return a strictly feasible x or None.
 
     Augmented variable sigma relaxes every cone rim to s + sigma, which is
     always strictly feasible for large sigma, and the barrier drives sigma
     down. Success is any iterate whose true slacks are all positive.
     """
+    n = x0.size
     aug_cones = []
     for j_mat, _, y0, c, _ in prog.cones:
         j_aug = np.hstack([j_mat, np.zeros((j_mat.shape[0], 1))])

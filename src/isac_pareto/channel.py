@@ -8,7 +8,6 @@ trial index fully determines its channel realization.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,8 +20,6 @@ __all__ = [
     "steering_vector",
     "path_loss_db",
     "generate_channels",
-    "dump_channels",
-    "load_channels",
 ]
 
 
@@ -138,26 +135,3 @@ def generate_channels(cfg, rng: Rng) -> ChannelSet:
         h[m] = np.sqrt(cfg.n_tx / n_paths) * accum
     return ChannelSet(h=h, cu_angles=cu_angles, distances=distances)
 
-
-def dump_channels(ch: ChannelSet) -> str:
-    """Serialize a ChannelSet as JSON (complex entries as [re, im] pairs)."""
-    payload = {
-        "h": [[[v.real, v.imag] for v in row] for row in ch.h],
-        "cu_angles": ch.cu_angles.tolist(),
-        "distances": ch.distances.tolist(),
-    }
-    return json.dumps(payload)
-
-
-def load_channels(text: str) -> ChannelSet:
-    """Inverse of dump_channels."""
-    payload = json.loads(text)
-    h = np.array(
-        [[complex(re, im) for re, im in row] for row in payload["h"]],
-        dtype=np.complex128,
-    )
-    return ChannelSet(
-        h=h,
-        cu_angles=np.asarray(payload["cu_angles"], dtype=float),
-        distances=np.asarray(payload["distances"], dtype=float),
-    )

@@ -115,8 +115,11 @@ def _canonical_pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _unit(v: np.ndarray) -> np.ndarray:
     """v / |v| entrywise with zero entries mapped to 1; the zero test and
     its replacement are skipped when |v| has no zero (|v| = 0 only at 0)."""
+    # here and in phase_project the ufunc reductions return what
+    # ndarray.all/any do without their Python wrapper: both run millions
+    # of times per solve
     mag = np.abs(v)
-    if not mag.all():
+    if not np.logical_and.reduce(mag, axis=None):
         v = np.where(v == 0, 1.0 + 0.0j, v)
         mag = np.abs(v)
     return v / mag
@@ -148,13 +151,13 @@ def phase_project(v) -> np.ndarray:
         cur = prev / np.abs(prev)
         passes.append(cur)
         fixed = undecided & (cur == prev)
-        out[fixed] = prev[fixed]
+        np.copyto(out, prev, where=fixed)
         undecided &= ~fixed
         cycle = undecided & (cur == prev2)
-        if cycle.any():
+        if np.logical_or.reduce(cycle, axis=None):
             out[cycle] = _canonical_pair(prev2[cycle], prev[cycle])
             undecided &= ~cycle
-        if not undecided.any():
+        if not np.logical_or.reduce(undecided, axis=None):
             return out
     out[undecided] = passes[3][undecided]
     return out

@@ -22,14 +22,11 @@ penalty and multiplier updates of precision.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
-from .channel import ChannelSet
-from .model import RadarSpec, constraint_margins
+from .model import constraint_margins
 
-__all__ = ["QuadraticForms", "build_quadratics"]
+__all__ = ["QuadraticForms"]
 
 
 class QuadraticForms:
@@ -120,7 +117,7 @@ class QuadraticForms:
         power_res = (float(np.vdot(eff, eff).real) - self.p_max) / self.p_max
         t = self.h_conj @ eff
         powers = np.abs(t) ** 2
-        totals = powers.sum(axis=1)
+        totals = np.add.reduce(powers, axis=1)  # powers.sum(axis=1), unwrapped
         sig = powers.take(self._own_gain)
         interference = totals.take(self.active) - sig
         sinr_res = (interference - sig / self.gamma_active
@@ -140,21 +137,8 @@ class QuadraticForms:
     def delta_from_gains(self, t_m: np.ndarray, m: int) -> np.ndarray:
         """Delta_m @ d from user m's cross gains t_m = h_m^H F_rf F_bb; m
         must be an active user (Delta_m of a dropped user is undefined)."""
-        row = (self.f_bb_conj * (self._delta_weights[m] * t_m)).sum(axis=1)  # (N_RF,)
+        row = np.add.reduce(self.f_bb_conj * (self._delta_weights[m] * t_m), axis=1)  # (N_RF,)
         # vec(h_m row^T): the products of np.outer(h_m, row), laid out
         # row-major by RF chain so the column-stacking needs no copy
         return (self.h[m] * row[:, None]).ravel()
 
-
-def build_quadratics(
-    f_bb: np.ndarray,
-    u: np.ndarray,
-    ch: ChannelSet,
-    rs: RadarSpec,
-    gammas: Sequence[float],
-    noise: float,
-    p_max: float,
-) -> QuadraticForms:
-    """Assemble the RF-subproblem forms for fixed baseband and auxiliary stages."""
-    return QuadraticForms(f_bb=f_bb, u=u, h=ch.h, f_r=rs.f_r, gamma=gammas,
-                          noise=noise, p_max=p_max)

@@ -89,7 +89,6 @@ class MajorizerSet:
     in raw units; constraint surrogates are normalized (noise / budget).
     """
 
-    anchor: np.ndarray
     u_obj: np.ndarray
     k_obj: float
     u_g: np.ndarray       # (n_active, D)
@@ -150,7 +149,7 @@ def majorize(q: QuadraticForms, d_anchor: np.ndarray) -> MajorizerSet:
     u_p = xi_d0 / q.p_max - c_p_hat * d0
     k_p = -quad0 / q.p_max + 2.0 * dim * c_p_hat - 1.0
 
-    return MajorizerSet(anchor=d0, u_obj=u_obj, k_obj=k_obj,
+    return MajorizerSet(u_obj=u_obj, k_obj=k_obj,
                         u_g=u_g, k_g=k_g, u_p=u_p, k_p=k_p)
 
 
@@ -197,13 +196,15 @@ class _ConstraintProbe:
         self.p = w.real
         self.t2 = w.imag * w.imag
         self.r = v.real * v.real + v.imag * v.imag
-        self.r_max = float(self.r.max())
+        # the ufunc reductions here return what ndarray.min/max do
+        # without their Python wrapper, which probes pay ~10^5 times a run
+        self.r_max = float(np.maximum.reduce(self.r, axis=None))
 
     def at_zero(self):
         """g(0) and g'(0) without the x terms: g(0) decides whether the
         multiplier is slack, and about half of all solves stop there."""
         r = self.r
-        if r.min() > 0.0:
+        if np.minimum.reduce(r, axis=None) > 0.0:
             inv = 1.0 / np.sqrt(r)
             value = self.k - 2.0 * float(np.dot(self.p, inv))
             return value, -2.0 * float(np.dot(self.t2, inv / r))
@@ -214,7 +215,8 @@ class _ConstraintProbe:
         xs = x * s
         q = r + x * (2.0 * p + xs)
         # rounding moves q by at most a few eps * (r + x^2 s) per entry
-        if q.min() > _CANCEL * (self.r_max + x * x * self.s_max):
+        bound = _CANCEL * (self.r_max + x * x * self.s_max)
+        if np.minimum.reduce(q, axis=None) > bound:
             inv = 1.0 / np.sqrt(q)
             value = self.k - 2.0 * float(np.dot(p + xs, inv))
             return value, -2.0 * float(np.dot(self.t2, inv / q))

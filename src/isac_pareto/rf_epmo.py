@@ -130,7 +130,7 @@ def euclidean_gradient(q: QuadraticForms, d: np.ndarray, mu: float,
     xi_d = q.vec(eff @ q.f_bb_h)  # Xi @ d = vec(F (Fbb Fbb^H))
     grad = 2.0 * (xi_d - q.a_r)
     if mu != 0.0:
-        acc = np.zeros_like(grad)
+        acc = np.zeros(grad.shape, grad.dtype)
         t, sinr_res, power_res = q.residuals(eff) if parts is None else parts[1:]
         for res, m in zip(sinr_res.tolist(), q.active.tolist()):
             if res >= 0.0:

@@ -26,12 +26,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .bb_solver import (
-    InfeasibleSubproblem,
-    make_socp_instance,
-    solve_bb,
-    update_u,
-)
+from .bb_solver import InfeasibleSubproblem, solve_bb, update_u
 from .channel import ChannelSet
 from .fbl import allocate_blocklengths, solve_gamma_threshold
 from .model import (
@@ -49,7 +44,7 @@ from .model import (
     worst_margin,
 )
 from .numerics import Rng, phase_project
-from .quadratics import QuadraticForms, build_quadratics
+from .quadratics import QuadraticForms
 from .rf_bmm import DualDivergence, InfeasibleStart, bmm_solve
 from .rf_epmo import epmo_solve
 
@@ -248,13 +243,15 @@ def inner_bcd(
 
     for iteration in range(opts.max_bcd):
         if hybrid:
-            q = build_quadratics(f_bb, u, ch, rs, gammas, cfg.noise, cfg.p_max)
+            q = QuadraticForms(f_bb, u, ch.h, rs.f_r, gammas, cfg.noise, cfg.p_max)
             d = phase_project(q.vec(f_rf))
             d_new = _rf_step(q, d, opts)
-            if d_new is None:
-                return InnerResult(False, None, np.inf, trace, "RF stage infeasible")
             incoming_ok = _is_feasible(q.constraint_margins(d))
-            if not incoming_ok or q.objective(d_new) <= q.objective(d):
+            if d_new is None:
+                # a feasible incoming stage stays the incumbent
+                if not incoming_ok:
+                    return InnerResult(False, None, np.inf, trace, "RF stage infeasible")
+            elif not incoming_ok or q.objective(d_new) <= q.objective(d):
                 f_rf = q.mat(d_new)
 
         new_bb = _bb_step(f_rf, f_bb, u, ch, rs, gammas, cfg)
@@ -277,9 +274,8 @@ def inner_bcd(
 
 def _bb_step(f_rf, f_bb, u, ch, rs, gammas, cfg):
     """Cone-program baseband update at the incumbent's rim, with monotone acceptance."""
-    inst = make_socp_instance(f_rf, ch.h, rs.f_r @ u, gammas, cfg.p_max, cfg.noise)
     try:
-        sol = solve_bb(inst, f_ref=f_bb)
+        sol = solve_bb(f_rf, ch.h, rs.f_r @ u, gammas, cfg.p_max, cfg.noise, f_ref=f_bb)
     except InfeasibleSubproblem:
         return None
     current = rbe(HybridPrecoder(f_rf=f_rf, f_bb=f_bb, u=u), rs)

@@ -5,7 +5,6 @@ from scipy.optimize import minimize
 from isac_pareto import bb_solver
 from isac_pareto.bb_solver import (
     InfeasibleSubproblem,
-    make_socp_instance,
     solve_bb,
     update_u,
 )
@@ -37,8 +36,7 @@ class TestSolveBB:
         # thresholds low enough that the least-squares fit already satisfies them
         ls = np.linalg.lstsq(f_rf, target, rcond=None)[0]
         gam = achieved_sinr(h, f_rf, ls, 0.1)
-        inst = make_socp_instance(f_rf, h, target, gam * 0.25, p_max=10.0, noise=0.1)
-        sol = solve_bb(inst)
+        sol = solve_bb(f_rf, h, target, gam * 0.25, p_max=10.0, noise=0.1)
         want = np.linalg.norm(f_rf @ ls - target) ** 2
         assert sol.objective <= want * (1 + 1e-6) + 1e-9
         assert abs(sol.objective - want) <= 1e-6 * max(1.0, want)
@@ -49,17 +47,15 @@ class TestSolveBB:
         f_rf, h, f_r, u, target = make_data(gen, m=1, n_tar=1)
         ls = np.linalg.lstsq(f_rf, target, rcond=None)[0]
         # power cap well above the fit: solution is the pseudo-inverse fit
-        inst = make_socp_instance(f_rf, h[:1], target, [1e-8], p_max=100.0, noise=1e-9)
-        sol = solve_bb(inst)
+        sol = solve_bb(f_rf, h[:1], target, [1e-8], p_max=100.0, noise=1e-9)
         want = np.linalg.norm(f_rf @ ls - target) ** 2
         assert sol.objective == pytest.approx(want, abs=1e-6 * max(1.0, want) + 1e-9)
 
     def test_impossible_threshold_is_infeasible(self):
         gen = Rng(92).generator()
         f_rf, h, f_r, u, target = make_data(gen, p_max=1e-6)
-        inst = make_socp_instance(f_rf, h, target, [1e9, 1e9], p_max=1e-6, noise=0.1)
         with pytest.raises(InfeasibleSubproblem):
-            solve_bb(inst)
+            solve_bb(f_rf, h, target, [1e9, 1e9], p_max=1e-6, noise=0.1)
 
     def test_random_feasible_instances_meet_original_constraints(self):
         gen = Rng(93).generator()
@@ -68,9 +64,8 @@ class TestSolveBB:
         while solved < 25 and attempts < 80:
             attempts += 1
             f_rf, h, f_r, u, target = make_data(gen)
-            inst = make_socp_instance(f_rf, h, target, [0.5, 0.5], p_max=10.0, noise=0.1)
             try:
-                sol = solve_bb(inst)
+                sol = solve_bb(f_rf, h, target, [0.5, 0.5], p_max=10.0, noise=0.1)
             except InfeasibleSubproblem:
                 continue
             gam = achieved_sinr(h, f_rf, sol.f_bb, 0.1)
@@ -84,8 +79,7 @@ class TestSolveBB:
         # channel amplitudes ~1e-4, noise 1e-12 W, budget 1 W
         gen = Rng(94).generator()
         f_rf, h, f_r, u, target = make_data(gen, h_scale=1e-4, noise=1e-12, p_max=1.0)
-        inst = make_socp_instance(f_rf, h, target, [50.0, 50.0], p_max=1.0, noise=1e-12)
-        sol = solve_bb(inst)
+        sol = solve_bb(f_rf, h, target, [50.0, 50.0], p_max=1.0, noise=1e-12)
         gam = achieved_sinr(h, f_rf, sol.f_bb, 1e-12)
         assert np.all(gam >= 50.0 * (1 - 1e-6))
         assert sol.kkt_residual <= 1e-8
@@ -93,8 +87,7 @@ class TestSolveBB:
     def test_column_phase_rotation_leaves_sinr_unchanged(self):
         gen = Rng(95).generator()
         f_rf, h, f_r, u, target = make_data(gen)
-        inst = make_socp_instance(f_rf, h, target, [0.5, 0.5], p_max=10.0, noise=0.1)
-        sol = solve_bb(inst)
+        sol = solve_bb(f_rf, h, target, [0.5, 0.5], p_max=10.0, noise=0.1)
         base = achieved_sinr(h, f_rf, sol.f_bb, 0.1)
         rotated = sol.f_bb * np.exp(1j * gen.uniform(-np.pi, np.pi, size=2))
         np.testing.assert_allclose(achieved_sinr(h, f_rf, rotated, 0.1), base, rtol=1e-10)
@@ -104,13 +97,12 @@ class TestSolveBB:
         for _ in range(20):
             f_rf, h, f_r, u, target = make_data(gen)
             # threshold close to the best this power can do: cone active
-            inst0 = make_socp_instance(f_rf, h, target, [0.0, 0.0], p_max=10.0, noise=0.1)
-            sol0 = solve_bb(inst0)  # unconstrained-within-power fit
+            # unconstrained-within-power fit
+            sol0 = solve_bb(f_rf, h, target, [0.0, 0.0], p_max=10.0, noise=0.1)
             gam0 = achieved_sinr(h, f_rf, sol0.f_bb, 0.1)
             gam_req = gam0 * 4.0 + 1.0
-            inst = make_socp_instance(f_rf, h, target, gam_req, p_max=10.0, noise=0.1)
             try:
-                sol = solve_bb(inst)
+                sol = solve_bb(f_rf, h, target, gam_req, p_max=10.0, noise=0.1)
             except InfeasibleSubproblem:
                 continue
             gam = achieved_sinr(h, f_rf, sol.f_bb, 0.1)
@@ -123,13 +115,18 @@ class TestSolveBB:
     def test_zero_thresholds_drop_all_cones(self):
         gen = Rng(97).generator()
         f_rf, h, f_r, u, target = make_data(gen)
-        inst = make_socp_instance(f_rf, h, target, [0.0, 0.0], p_max=10.0, noise=0.1)
-        assert inst.active.size == 0
-        sol = solve_bb(inst)
+        sol = solve_bb(f_rf, h, target, [0.0, 0.0], p_max=10.0, noise=0.1)
         ls = np.linalg.lstsq(f_rf, target, rcond=None)[0]
         if np.linalg.norm(f_rf @ ls) ** 2 <= 10.0:
             want = np.linalg.norm(f_rf @ ls - target) ** 2
             assert sol.objective == pytest.approx(want, abs=1e-6 * max(1.0, want) + 1e-9)
+
+
+    @pytest.mark.parametrize("p_max, noise", [(0.0, 0.1), (10.0, 0.0)])
+    def test_nonpositive_budget_or_noise_rejected(self, p_max, noise):
+        f_rf, h, f_r, u, target = make_data(Rng(99).generator())
+        with pytest.raises(ValueError, match="must be positive"):
+            solve_bb(f_rf, h, target, [0.5, 0.5], p_max=p_max, noise=noise)
 
 
 def random_program(gen, n, n_cones):
@@ -206,7 +203,7 @@ class TestBarrierDerivatives:
         monkeypatch.setattr(bb_solver, "_BarrierProgram", Recording)
         x0 = -x  # every rim value c^T x0 is negative: phase one must run
         assert not prog.interior(x0)
-        bb_solver._phase_one(prog, x0, x0.size)
+        bb_solver._phase_one(prog, x0)
         aug_raw = built[0]
         worst = max(np.linalg.norm(j @ x0 + y0) - c @ x0 for j, y0, c in raw[2])
         x_aug = np.concatenate([x0, [worst + 1.0]])
@@ -229,7 +226,7 @@ def phase_one_program(monkeypatch, gen):
 
     prog = bb_solver._BarrierProgram(*raw)
     monkeypatch.setattr(bb_solver, "_BarrierProgram", Recording)
-    bb_solver._phase_one(prog, -x, x.size)
+    bb_solver._phase_one(prog, -x)
     worst = max(np.linalg.norm(j @ -x + y0) - c @ -x for j, y0, c in raw[2])
     return built[0], np.concatenate([-x, [worst + 1.0]])
 
@@ -369,12 +366,11 @@ class TestIncumbentRim:
         checked = improved = 0
         for _ in range(20):
             f_rf, h, f_r, u, target = make_data(gen)
-            fit = solve_bb(make_socp_instance(f_rf, h, target, [0.0, 0.0],
-                                              p_max=10.0, noise=0.1))
+            fit = solve_bb(f_rf, h, target, [0.0, 0.0], p_max=10.0, noise=0.1)
             gam = achieved_sinr(h, f_rf, fit.f_bb, 0.1) * gen.uniform(1.5, 4.0, size=2) + 0.5
-            inst = make_socp_instance(f_rf, h, target, gam, p_max=10.0, noise=0.1)
+            args = (f_rf, h, target, gam, 10.0, 0.1)
             try:
-                at_fit_rim = solve_bb(inst)
+                at_fit_rim = solve_bb(*args)
             except InfeasibleSubproblem:
                 continue
             polished = polished_incumbent(f_rf, h, target, gam, at_fit_rim.f_bb)
@@ -384,7 +380,7 @@ class TestIncumbentRim:
                     continue  # only a feasible incumbent lies inside the cones
                 want = np.linalg.norm(f_rf @ f_ref - target) ** 2
                 improved += want < at_fit_rim.objective * (1 - 1e-6)
-                assert solve_bb(inst, f_ref=f_ref).objective <= want * (1 + 1e-9)
+                assert solve_bb(*args, f_ref=f_ref).objective <= want * (1 + 1e-9)
                 checked += 1
         assert checked >= 30
         assert improved >= 5  # some incumbents beat the least-squares rim

@@ -4,9 +4,7 @@ import pytest
 from isac_pareto.channel import (
     ArrayGeometry,
     _laplacian_offsets,
-    dump_channels,
     generate_channels,
-    load_channels,
     path_loss_db,
     steering_vector,
 )
@@ -115,10 +113,3 @@ class TestGenerateChannels:
         gen = Rng(1).generator()
         rays = _laplacian_offsets(gen, 85.0, 30.0, 500)
         assert np.all(rays >= -90.0) and np.all(rays <= 90.0)
-
-    def test_dump_load_roundtrip(self):
-        cfg = small_cfg()
-        ch = generate_channels(cfg, Rng(2, 0))
-        back = load_channels(dump_channels(ch))
-        np.testing.assert_array_equal(ch.h, back.h)
-        np.testing.assert_array_equal(ch.distances, back.distances)

@@ -4,7 +4,7 @@ import pytest
 from isac_pareto.channel import ArrayGeometry, ChannelSet
 from isac_pareto.model import HybridPrecoder, constraint_margins, ideal_radar_precoder, rbe
 from isac_pareto.numerics import Rng
-from isac_pareto.quadratics import build_quadratics
+from isac_pareto.quadratics import QuadraticForms
 from oracles import (
     delta,
     omega_p,
@@ -24,7 +24,7 @@ def make_instance(gen, n_tx=6, n_rf=3, m=2, n_tar=2, gamma=None, noise=0.1, p_ma
     u = random_row_orthonormal(gen, n_tar, m)
     if gamma is None:
         gamma = gen.uniform(0.5, 3.0, size=m)
-    q = build_quadratics(f_bb, u, ch, rs, gamma, noise, p_max)
+    q = QuadraticForms(f_bb, u, ch.h, rs.f_r, gamma, noise, p_max)
     return q, ch, rs
 
 
@@ -65,7 +65,7 @@ class TestBuild:
         gen = Rng(33).generator()
         q, ch, rs = make_instance(gen)
         with pytest.raises(ValueError):
-            build_quadratics(q.f_bb, q.u, ch, rs, [1.0], q.noise, q.p_max)
+            QuadraticForms(q.f_bb, q.u, ch.h, rs.f_r, [1.0], q.noise, q.p_max)
 
 
 class TestEvaluators:
@@ -80,7 +80,7 @@ class TestEvaluators:
         d = random_unit_modulus(gen, n_tx * n_tx)
         f_rf = d.reshape(n_tx, n_tx, order="F")
         f_bb = np.linalg.solve(f_rf, rs.f_r @ u)
-        q = build_quadratics(f_bb, u, ch, rs, [1.0, 1.0], 0.1, 4.0)
+        q = QuadraticForms(f_bb, u, ch.h, rs.f_r, [1.0, 1.0], 0.1, 4.0)
         assert q.objective(d) < 1e-18
 
     def test_power_constraint_values(self):
@@ -99,7 +99,7 @@ class TestEvaluators:
     def test_power_constraint_zero_baseband(self):
         gen = Rng(36).generator()
         q, ch, rs = make_instance(gen)
-        q2 = build_quadratics(np.zeros_like(q.f_bb), q.u, ch, rs, q.gamma, q.noise, 4.0)
+        q2 = QuadraticForms(np.zeros_like(q.f_bb), q.u, ch.h, rs.f_r, q.gamma, q.noise, 4.0)
         d = random_unit_modulus(gen, q2.d_dim)
         assert q2.constraint_margins(d)[1] == pytest.approx(-1.0)
         assert q2.probe_eval(d)[2] == pytest.approx(-1.0)

@@ -3,9 +3,9 @@ import pytest
 
 from isac_pareto import rf_bmm, rf_epmo, tlbs
 from isac_pareto.channel import ArrayGeometry, ChannelSet
-from isac_pareto.model import ideal_radar_precoder, worst_margin
+from isac_pareto.model import FEAS_SLACK, ideal_radar_precoder, worst_margin
 from isac_pareto.numerics import Rng, fast_unit, phase_project
-from isac_pareto.quadratics import build_quadratics
+from isac_pareto.quadratics import QuadraticForms
 from isac_pareto.rf_bmm import (
     TOL,
     DualDivergence,
@@ -32,7 +32,7 @@ def make_instance(gen, n_tx=6, n_rf=3, m=2, n_tar=2, gamma=None, noise=0.05, p_m
         p_max = 1.5 * n_tx  # roomy budget
     if gamma is None:
         gamma = np.full(m, 0.2)
-    return build_quadratics(f_bb, u, ch, rs, gamma, noise, p_max), ch, rs
+    return QuadraticForms(f_bb, u, ch.h, rs.f_r, gamma, noise, p_max), ch, rs
 
 
 def feasible_start(q, gen, tries=500):
@@ -82,7 +82,7 @@ class TestMajorize:
         rs = ideal_radar_precoder([-40.0, 10.0], ArrayGeometry(n_tx))
         f_bb = np.eye(2, dtype=complex)  # T = I so Xi = kron(I, I)
         u = random_row_orthonormal(gen, 2, 2)
-        q = build_quadratics(f_bb, u, ch, rs, [1.0, 1.0], 0.1, 100.0)
+        q = QuadraticForms(f_bb, u, ch.h, rs.f_r, [1.0, 1.0], 0.1, 100.0)
         # here c_r = tr(Xi) = D, not 1, so Xi - c_r I is not zero; instead
         # check the algebra directly on a constructed anchor
         d0 = random_unit_modulus(gen, q.d_dim)
@@ -431,8 +431,8 @@ def unattainable_set(gen, dim, n_active=2):
     u_g = gen.normal(size=(n_active, dim)) + 1j * gen.normal(size=(n_active, dim))
     k_g = np.full(n_active, -10.0 * dim)
     k_g[0] = 2.0 * np.abs(u_g[0]).sum() + 0.5
+    random_unit_modulus(gen, dim)  # a draw that keeps every later draw in place
     return MajorizerSet(
-        anchor=random_unit_modulus(gen, dim),
         u_obj=gen.normal(size=dim) + 1j * gen.normal(size=dim), k_obj=0.0,
         u_g=u_g, k_g=k_g,
         u_p=0.1 * (gen.normal(size=dim) + 1j * gen.normal(size=dim)), k_p=-10.0 * dim,
@@ -485,10 +485,10 @@ class TestRfStepRepair:
         gen = Rng(seed).generator()
         q, _, _ = make_instance(gen, gamma=np.full(2, 2.0))
         d0 = random_unit_modulus(gen, q.d_dim)
-        assert worst_margin(q.constraint_margins(d0)) > TOL
+        assert worst_margin(q.constraint_margins(d0)) > FEAS_SLACK
         d = _rf_step(q, d0, SolveOptions(rf_method="bmm"))
         # the repair is asked for residuals well inside BMM's own gate
-        assert repairs == [((0.5 * TOL) ** 2, True)]
+        assert repairs == [((0.5 * FEAS_SLACK) ** 2, True)]
         assert d is not None
         assert np.max(np.abs(np.abs(d) - 1.0)) < 1e-14
-        assert worst_margin(q.constraint_margins(d)) <= TOL
+        assert worst_margin(q.constraint_margins(d)) <= FEAS_SLACK

@@ -5,7 +5,7 @@ from isac_pareto import rf_epmo
 from isac_pareto.channel import ArrayGeometry, ChannelSet
 from isac_pareto.model import ideal_radar_precoder
 from isac_pareto.numerics import Rng
-from isac_pareto.quadratics import build_quadratics
+from isac_pareto.quadratics import QuadraticForms
 from isac_pareto.rf_epmo import (
     TOL_GRAD,
     constraint_violation,
@@ -30,7 +30,7 @@ def make_instance(gen, n_tx=6, n_rf=3, m=2, n_tar=2, gamma=None, noise=0.05, p_m
         p_max = 1.5 * n_tx
     if gamma is None:
         gamma = np.full(m, 0.2)
-    return build_quadratics(f_bb, u, ch, rs, gamma, noise, p_max), ch, rs
+    return QuadraticForms(f_bb, u, ch.h, rs.f_r, gamma, noise, p_max), ch, rs
 
 
 def hinge_oracle(q, d, mu):
@@ -94,8 +94,8 @@ class TestEuclideanGradient:
     def test_pure_linear_term_points_to_target(self):
         gen = Rng(74).generator()
         q, ch, rs = make_instance(gen)
-        q_zero = build_quadratics(np.zeros_like(q.f_bb), q.u, ch, rs,
-                                  np.zeros(2), q.noise, 1e9)
+        q_zero = QuadraticForms(np.zeros_like(q.f_bb), q.u, ch.h, rs.f_r,
+                                np.zeros(2), q.noise, 1e9)
         # Xi = 0 when F_bb = 0, but then a_r = 0 as well; instead zero the
         # quadratic by hand through a tiny baseband and check the dominant term
         d = random_unit_modulus(gen, q.d_dim)

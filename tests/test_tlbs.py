@@ -1,9 +1,7 @@
 import math
-import multiprocessing
 import os
 import subprocess
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -96,54 +94,14 @@ def _bcd_at_easy_thresholds(method, seed):
 
 
 # the slow solves of this module, (function, args, keyword args) in the
-# order the tests read them
-_SLOW_SOLVES = (
+# order the tests read them; the `solves` fixture (conftest.py) runs them
+SLOW_SOLVES = (
     [(_bcd_at_easy_thresholds, (method, seed), {})
      for method in ("epmo", "bmm") for seed in range(20)]
     + [(_solve, (3,), dict(tol_rate=0.02)), (_solve, (4,), {}), (_solve, (5,), {})]
     + [(_solve, (6,), dict(e_max=cap)) for cap in (0.05, 0.2, 0.8)]
     + [(_solve, (8,), {})]
 )
-
-
-class Solves:
-    """Deterministic solves run in two worker processes.
-
-    Each slow test of this module spends a minute or more in solver calls
-    that do not depend on each other, so the fixture queues all of them at
-    once and a test waits only for its own results; a call that was not
-    queued is submitted when first asked for. The workers are forked from
-    the test process before any test patches a module, with BLAS pinned to
-    one thread (conftest.py), so a result is bit-identical to an
-    in-process call.
-    """
-
-    def __init__(self, pool):
-        self._pool = pool
-        self._futures = {}
-
-    def _future(self, fn, args, kwargs):
-        key = (fn.__name__, args, tuple(sorted(kwargs.items())))
-        if key not in self._futures:
-            self._futures[key] = self._pool.submit(fn, *args, **kwargs)
-        return self._futures[key]
-
-    def submit(self, fn, *args, **kwargs):
-        self._future(fn, args, kwargs)
-
-    def get(self, fn, *args, **kwargs):
-        return self._future(fn, args, kwargs).result()
-
-
-@pytest.fixture(scope="module")
-def solves():
-    context = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(max_workers=2, mp_context=context) as pool:
-        runs = Solves(pool)
-        for fn, args, kwargs in _SLOW_SOLVES:
-            runs.submit(fn, *args, **kwargs)
-        yield runs
-        pool.shutdown(cancel_futures=True)
 
 
 class TestInitPrecoder:
@@ -212,6 +170,23 @@ class TestInnerBcd:
             if done >= 20:
                 break
         assert done >= 20
+
+    def test_failed_rf_step_keeps_feasible_incumbent(self, monkeypatch):
+        # an RF step that gives up leaves a feasible incoming RF stage in
+        # place, and the baseband and auxiliary blocks go on descending
+        def gives_up(q, d, tol_violation=rf_epmo.TOL_VIOLATION):
+            return rf_epmo.EpmoResult(d=d, feasible=False, violation=1.0)
+
+        monkeypatch.setattr(tlbs, "epmo_solve", gives_up)
+        cfg, ch, rs = scenario()
+        init = init_precoder(cfg, ch, rs, Rng(5), "epmo")
+        opts = SolveOptions(rf_method="epmo", max_bcd=3)
+        res = inner_bcd(1.0, cfg, ch, rs, init, opts, gammas=np.full(2, 1e-3))
+        assert res.feasible
+        np.testing.assert_array_equal(res.precoder.f_rf, init.f_rf)
+        trace = np.array(res.trace)
+        assert len(trace) >= 2
+        assert np.all(np.diff(trace) <= 1e-8 * np.maximum(1.0, trace[:-1]))
 
     def test_fixed_point_rerun(self):
         cfg, ch, rs = scenario(seed=2)

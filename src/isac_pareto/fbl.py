@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .model import dispersion
-from .numerics import RootBracket, bracketed_root, inv_q
+from .numerics import bracketed_root, inv_q
 
 __all__ = [
     "solve_gamma_threshold",
@@ -52,7 +52,7 @@ def solve_gamma_threshold(target: float, beta: int, eps: float) -> float:
     def f(k):
         return math.exp(k) * (k * k - four_tau_sq) + const
 
-    kappa = bracketed_root(f, RootBracket(0.0, 2.0 * tau, tol=1e-12))
+    kappa = bracketed_root(f, 0.0, 2.0 * tau)
     return math.exp(target + 0.5 * kappa) - 1.0
 
 

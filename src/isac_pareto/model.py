@@ -108,8 +108,8 @@ class SystemConfig:
             raise ValueError("frame budget must cover at least one symbol per user")
         if len(self.target_angles_deg) != self.n_tar:
             raise ValueError("target_angles_deg must have one entry per target")
-        if not 1 <= self.n_tar <= self.n_rf:
-            raise ValueError("need 1 <= n_tar <= n_rf so the auxiliary matrix is wide")
+        if not 1 <= self.n_tar <= self.n_cu:
+            raise ValueError("need 1 <= n_tar <= n_cu so the auxiliary matrix is wide")
         if any(not -90.0 <= a <= 90.0 for a in self.target_angles_deg):
             raise ValueError("target angles must lie in [-90, 90] degrees")
         # channel fields, checked here rather than inside generate_channels

@@ -1,14 +1,15 @@
 """Scalar special functions, deterministic random streams, and phase projection.
 
 These are the shared numerical primitives: the inverse Gaussian Q-function
-used by the short-packet rate model (on scipy.special's ndtri), a bracketed
-bisection root finder, the unit-modulus phase projection used by both RF
-precoder solvers (exact, plus a one-pass variant for interior probe
-points), and a counter-based random generator that gives every Monte-Carlo
-trial its own reproducible stream. The exact projection computes its
-renormalization passes lazily, stopping once every entry's orbit is
-resolved, and keeps the fixed-point contract: its output bits are those of
-the eager five-pass resolution, so projecting twice changes nothing.
+used by the short-packet rate model (on scipy.special's ndtri), a bisection
+root finder on plain bounds [lo, hi] with an absolute width tolerance, the
+unit-modulus phase projection used by both RF precoder solvers (exact, plus
+a one-pass variant for interior probe points), and a counter-based random
+generator that gives every Monte-Carlo trial its own reproducible stream.
+The exact projection computes its renormalization passes lazily, stopping
+once every entry's orbit is resolved, and keeps the fixed-point contract:
+its output bits are those of the eager five-pass resolution, so projecting
+twice changes nothing.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from scipy.special import ndtri
 
 __all__ = [
     "Rng",
-    "RootBracket",
     "inv_q",
     "bracketed_root",
     "phase_project",
@@ -40,29 +40,14 @@ class Rng:
     stream_id: int = 0
 
     def __post_init__(self):
-        if not (0 <= self.seed < 2**64):
-            raise ValueError("seed must fit in 64 bits")
-        if not (0 <= self.stream_id < 2**64):
-            raise ValueError("stream_id must fit in 64 bits")
+        for name in ("seed", "stream_id"):
+            key = getattr(self, name)
+            if not isinstance(key, (int, np.integer)) or not 0 <= key < 2**64:
+                raise ValueError(f"{name} must be an integer that fits in 64 bits")
 
     def generator(self) -> np.random.Generator:
         """Fresh generator positioned at the start of this stream."""
         return np.random.Generator(np.random.Philox(key=[self.seed, self.stream_id]))
-
-
-@dataclass(frozen=True)
-class RootBracket:
-    """Search interval [lo, hi] with an absolute width tolerance."""
-
-    lo: float
-    hi: float
-    tol: float = 1e-12
-
-    def __post_init__(self):
-        if not self.lo < self.hi:
-            raise ValueError(f"bracket requires lo < hi, got [{self.lo}, {self.hi}]")
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
 
 
 def inv_q(p: float) -> float:
@@ -76,13 +61,16 @@ def inv_q(p: float) -> float:
     return float(-ndtri(p))
 
 
-def bracketed_root(f, bracket: RootBracket) -> float:
+def bracketed_root(f, lo: float, hi: float, tol: float = 1e-12) -> float:
     """Bisection root of f on [lo, hi] down to interval width <= tol.
 
     One endpoint being an exact root is accepted; otherwise f(lo) and
     f(hi) must differ in sign.
     """
-    lo, hi = bracket.lo, bracket.hi
+    if not lo < hi:
+        raise ValueError(f"bracket requires lo < hi, got [{lo}, {hi}]")
+    if not tol > 0:
+        raise ValueError("tol must be positive")
     flo, fhi = f(lo), f(hi)
     if flo == 0.0:
         return lo
@@ -92,7 +80,7 @@ def bracketed_root(f, bracket: RootBracket) -> float:
         raise ValueError(
             f"no sign change on [{lo}, {hi}]: f(lo)={flo}, f(hi)={fhi}"
         )
-    while hi - lo > bracket.tol:
+    while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break  # interval at floating-point resolution

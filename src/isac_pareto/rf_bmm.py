@@ -20,8 +20,7 @@ dimensionless.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,7 +68,6 @@ class DualState:
 
     lam: np.ndarray
     vartheta: float = 0.0
-    lagrangian_trace: List[float] = field(default_factory=list)
 
     def __post_init__(self):
         self.lam = np.asarray(self.lam, dtype=float)
@@ -109,7 +107,6 @@ class MajorizerSet:
 @dataclass
 class BmmResult:
     d: np.ndarray
-    objective_trace: List[float]
     iterations: int
     converged: bool
 
@@ -287,7 +284,7 @@ def dual_bisection(ms: MajorizerSet, duals_in: DualState) -> DualState:
     """
     lam = duals_in.lam.copy()
     vth = duals_in.vartheta
-    trace: List[float] = []
+    prev = None
     s_g = ms.u_g.real ** 2 + ms.u_g.imag ** 2
     s_p = ms.u_p.real ** 2 + ms.u_p.imag ** 2
     s_g_max = s_g.max(axis=1)
@@ -306,10 +303,10 @@ def dual_bisection(ms: MajorizerSet, duals_in: DualState) -> DualState:
                                  ms.k_p)
         vth = _solve_multiplier(probe, vth)
         value = _lagrangian_at_minimizer(ms, lam, vth)
-        trace.append(value)
-        if len(trace) >= 2 and abs(trace[-1] - trace[-2]) <= TOL * max(abs(trace[-1]), 1e-30):
+        if prev is not None and abs(value - prev) <= TOL * max(abs(value), 1e-30):
             break
-    return DualState(lam=lam, vartheta=vth, lagrangian_trace=trace)
+        prev = value
+    return DualState(lam=lam, vartheta=vth)
 
 
 def bmm_solve(q: QuadraticForms, d_init: np.ndarray) -> BmmResult:
@@ -317,8 +314,8 @@ def bmm_solve(q: QuadraticForms, d_init: np.ndarray) -> BmmResult:
 
     Iterates keep the original problem feasible (surrogate feasibility
     implies it), and a monotonicity guard stops the loop if numerical noise
-    would ever let the true objective tick upward, so the returned trace is
-    nonincreasing by construction.
+    would ever let the true objective tick upward, so the objective of the
+    accepted iterates is nonincreasing by construction.
     """
     d = _require_unit_modulus(d_init, "starting point")
     violation = worst_margin(q.constraint_margins(d))
@@ -326,7 +323,7 @@ def bmm_solve(q: QuadraticForms, d_init: np.ndarray) -> BmmResult:
         raise InfeasibleStart(
             f"starting point violates constraints by {violation:.3e} (relative)")
     duals = DualState.zeros(q.active.size)
-    trace = [q.objective(d)]
+    obj = q.objective(d)
     converged = False
     iterations = 0
     for iterations in range(1, MAX_ITER + 1):
@@ -334,14 +331,11 @@ def bmm_solve(q: QuadraticForms, d_init: np.ndarray) -> BmmResult:
         duals = dual_bisection(ms, duals)
         candidate = primal_step(ms, duals)
         cand_obj = q.objective(candidate)
-        if cand_obj > trace[-1] or worst_margin(q.constraint_margins(candidate)) > FEAS_SLACK:
+        if cand_obj > obj or worst_margin(q.constraint_margins(candidate)) > FEAS_SLACK:
             converged = True  # stalled at numerical resolution
             break
-        d = candidate
-        trace.append(cand_obj)
-        denom = max(abs(trace[-1]), 1e-30)
-        if abs(trace[-1] - trace[-2]) / denom <= TOL:
+        d, prev, obj = candidate, obj, cand_obj
+        if abs(obj - prev) / max(abs(obj), 1e-30) <= TOL:
             converged = True
             break
-    return BmmResult(d=d, objective_trace=trace, iterations=iterations,
-                     converged=converged)
+    return BmmResult(d=d, iterations=iterations, converged=converged)

@@ -27,8 +27,7 @@ Re(grad^H dz).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,9 +73,6 @@ ARMIJO_MAX_BACKTRACKS = 40
 class EpmoResult:
     d: np.ndarray
     feasible: bool
-    violation: float
-    trace: List[dict] = field(default_factory=list)
-    outer_rounds: int = 0
 
 
 def _squared_hinges(sinr_res: np.ndarray, power_res: float) -> float:
@@ -165,42 +161,39 @@ def epmo_solve(q: QuadraticForms, d_init: np.ndarray,
 
     The start need not be feasible; the penalty pulls iterates toward the
     constraint set until the summed squared hinges are at most
-    tol_violation. Returns an infeasibility report (feasible=False with the
-    residual violation) if the escalation budget runs out.
+    tol_violation. Returns the last iterate with feasible=False if the
+    escalation budget runs out.
     """
     d = phase_project(np.asarray(d_init, dtype=np.complex128))
     mu = MU0
-    trace: List[dict] = []
 
     # interim escalation rounds only need a coarse stationary point: the
     # weight is about to change anyway; the accepted round gets the full
     # gradient polish before the feasibility verdict
     prev_violation = np.inf
     for rounds in range(1, MAX_OUTER + 1):
-        d = _rcg_minimize(q, d, mu, trace, TOL_GRAD_COARSE)
+        d = _rcg_minimize(q, d, mu, TOL_GRAD_COARSE)
         violation = constraint_violation(q, d)
         if violation <= tol_violation:
-            d = _rcg_minimize(q, d, mu, trace, TOL_GRAD)
+            d = _rcg_minimize(q, d, mu, TOL_GRAD)
             violation = constraint_violation(q, d)
             if violation <= tol_violation:
-                return EpmoResult(d=d, feasible=True, violation=violation,
-                                  trace=trace, outer_rounds=rounds)
+                return EpmoResult(d=d, feasible=True)
         if rounds >= 3 and violation >= 0.9 * prev_violation:
             break  # escalation stopped shrinking the violation: unattainable
         prev_violation = violation
         mu = mu / C
-    return EpmoResult(d=d, feasible=False, violation=violation,
-                      trace=trace, outer_rounds=rounds)
+    return EpmoResult(d=d, feasible=False)
 
 
-def _rcg_minimize(q, d, mu, trace: List[dict], tol_grad: float) -> np.ndarray:
+def _rcg_minimize(q, d, mu, tol_grad: float) -> np.ndarray:
     f_val = penalty_objective(q, d, mu)
     grad = riemannian_gradient(d, euclidean_gradient(q, d, mu))
     gsq = _grad_norm_sq(grad)
     direction = -grad
     step_seed = ARMIJO_STEP
 
-    for it in range(MAX_INNER):
+    for _ in range(MAX_INNER):
         if gsq <= tol_grad:
             break
         slope = float(np.vdot(grad, direction).real)
@@ -235,6 +228,4 @@ def _rcg_minimize(q, d, mu, trace: List[dict], tol_grad: float) -> np.ndarray:
         beta = max(0.0, float(np.vdot(grad_new, diff).real) / max(gsq, 1e-300))
         direction = -grad_new + beta * _tangent(candidate, cand_conj, direction)
         d, grad, gsq, f_val = candidate, grad_new, gsq_new, f_new
-        trace.append({"iteration": it, "objective": f_val,
-                      "grad_norm_sq": gsq, "mu": mu})
     return d

@@ -85,10 +85,10 @@ class SolveOptions:
             raise ValueError(f"rate_mode must be one of {RATE_MODES}")
         if not (0 < self.tol_bcd < math.inf and 0 < self.tol_rate < math.inf):
             raise ValueError("tolerances must be positive and finite")
-        if self.max_bcd < 1:
-            raise ValueError("max_bcd must be at least 1")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must fit in 64 bits")
+        if not isinstance(self.max_bcd, (int, np.integer)) or self.max_bcd < 1:
+            raise ValueError("max_bcd must be an integer of at least 1")
+        if not isinstance(self.seed, (int, np.integer)) or not 0 <= self.seed < 2**64:
+            raise ValueError("seed must be an integer that fits in 64 bits")
 
 
 @dataclass

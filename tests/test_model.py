@@ -78,6 +78,7 @@ class TestSystemConfig:
         (dict(n_tar=0, target_angles_deg=()), "n_tar"),
         (dict(frame_budget=2.5), "frame budget"),
         (dict(frame_budget=128.0), "frame budget"),
+        (dict(n_rf=4, n_tar=3, target_angles_deg=(-50., 10., 40.)), "n_tar"),
     ])
     def test_channel_fields_rejected(self, fields, match):
         with pytest.raises(ValueError, match=match):

@@ -3,8 +3,7 @@ from statistics import NormalDist
 import numpy as np
 import pytest
 
-from isac_pareto.numerics import (Rng, RootBracket, bracketed_root, fast_unit, inv_q,
-                                  phase_project)
+from isac_pareto.numerics import Rng, bracketed_root, fast_unit, inv_q, phase_project
 from oracles import inv_q_bisect, phase_project_reference, q_function, q_oracle
 
 
@@ -53,10 +52,10 @@ class TestInvQ:
 
 class TestBracketedRoot:
     def test_linear_root(self):
-        assert bracketed_root(lambda x: x - 1.0, RootBracket(0.0, 2.0, 1e-12)) == pytest.approx(1.0, abs=1e-12)
+        assert bracketed_root(lambda x: x - 1.0, 0.0, 2.0, 1e-12) == pytest.approx(1.0, abs=1e-12)
 
     def test_sqrt_two(self):
-        root = bracketed_root(lambda x: x * x - 2.0, RootBracket(0.0, 2.0, 1e-12))
+        root = bracketed_root(lambda x: x * x - 2.0, 0.0, 2.0, 1e-12)
         assert root == pytest.approx(np.sqrt(2.0), abs=1e-12)
 
     def test_transcendental_has_unique_sign_change(self):
@@ -70,21 +69,28 @@ class TestBracketedRoot:
         signs = np.sign(f(grid))
         changes = np.sum(signs[1:] * signs[:-1] < 0)
         assert changes == 1
-        root = bracketed_root(f, RootBracket(0.0, 2.0, 1e-12))
+        root = bracketed_root(f, 0.0, 2.0, 1e-12)
         assert 0.0 < root < 2.0
         assert abs(f(root)) < 1e-10
 
     def test_monotone_accuracy(self):
         for target in (0.25, 0.5, 1.5):
-            root = bracketed_root(lambda x: np.expm1(x) - target, RootBracket(0.0, 2.0, 1e-12))
+            root = bracketed_root(lambda x: np.expm1(x) - target, 0.0, 2.0, 1e-12)
             assert abs(root - np.log1p(target)) <= 1e-12
 
     def test_no_sign_change_raises(self):
         with pytest.raises(ValueError):
-            bracketed_root(lambda x: x * x + 1.0, RootBracket(0.0, 2.0, 1e-12))
+            bracketed_root(lambda x: x * x + 1.0, 0.0, 2.0, 1e-12)
 
     def test_exact_endpoint_root(self):
-        assert bracketed_root(lambda x: x, RootBracket(0.0, 2.0, 1e-12)) == 0.0
+        assert bracketed_root(lambda x: x, 0.0, 2.0, 1e-12) == 0.0
+
+    @pytest.mark.parametrize("lo, hi, tol", [(1.0, 1.0, 1e-12), (2.0, 0.0, 1e-12),
+                                             (0.0, 2.0, 0.0), (0.0, 2.0, -1e-12)])
+    def test_bad_bounds_or_tolerance_raise(self, lo, hi, tol):
+        # checked before f is evaluated: this f has a root in every bracket
+        with pytest.raises(ValueError, match="lo < hi|tol"):
+            bracketed_root(lambda x: x - 1.0, lo, hi, tol)
 
 
 class TestPhaseProject:
@@ -241,3 +247,8 @@ class TestRng:
             Rng(-1, 0)
         with pytest.raises(ValueError):
             Rng(0, 2**64)
+        # a float seed would otherwise draw the stream of its integer part
+        for seed, stream_id in [(1.5, 0), (1.0, 0), (0, 2.5), (0, "1")]:
+            with pytest.raises(ValueError, match="integer"):
+                Rng(seed, stream_id)
+        Rng(np.uint64(2**64 - 1), np.int64(0))

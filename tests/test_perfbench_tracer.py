@@ -46,3 +46,23 @@ def test_traced_single_user_solve_restores_every_wrapped_name():
                  "fbl.allocate_calls"):
         assert layer[name] > 0, name
     assert any(s[tracer.NAME] == "channel.generate_channels" for s in tr.spans)
+
+
+def test_traced_fixed_rate_bmm_solve_reads_bmm_results():
+    # the BMM span reads BmmResult.converged and .iterations; the other
+    # workloads run no BMM solve
+    case = workloads.WORKLOADS["paper-bmm-fixed-rate"][0]
+    tr = tracer.Tracer()
+    tr.install()
+    try:
+        scn = workloads.build(case)
+        tr.solve = 0
+        outcome = workloads.solve(case, scn)
+        tr.solve = None
+    finally:
+        tr.remove()
+
+    layer = tracer.summarize(tr.spans, 1.0, 1, 1, int(outcome.probes[0]))
+    assert layer["rf_bmm.calls"] > 0
+    assert layer["rf_bmm.mm_iters"] > 0
+    assert layer["rf_bmm.ok_ratio"] == 1.0

@@ -156,7 +156,16 @@ class TestDualBisection:
                 return
         pytest.skip("no instance produced an active multiplier")
 
-    def test_lagrangian_trace_nondecreasing(self):
+    def test_lagrangian_trace_nondecreasing(self, monkeypatch):
+        # the Lagrangian value of each sweep, as the stop test reads it
+        values = []
+        lagrangian = rf_bmm._lagrangian_at_minimizer
+
+        def recorded(ms, lam, vartheta):
+            values.append(lagrangian(ms, lam, vartheta))
+            return values[-1]
+
+        monkeypatch.setattr(rf_bmm, "_lagrangian_at_minimizer", recorded)
         gen = Rng(59).generator()
         for _ in range(10):
             q, _, _ = make_instance(gen, gamma=np.array([1.5, 1.5]), noise=0.2)
@@ -164,9 +173,24 @@ class TestDualBisection:
                 d0 = feasible_start(q, gen, tries=2000)
             except RuntimeError:
                 continue
-            duals = dual_bisection(majorize(q, d0), DualState.zeros(q.active.size))
-            trace = np.array(duals.lagrangian_trace)
+            values.clear()
+            dual_bisection(majorize(q, d0), DualState.zeros(q.active.size))
+            trace = np.array(values)
             assert np.all(np.diff(trace) >= -1e-7 * np.maximum(1.0, np.abs(trace[:-1])))
+
+
+def record_anchors(monkeypatch):
+    """Objectives of the majorizer anchors: the start and each accepted
+    iterate the loop went on from. Callers append q.objective(result.d)."""
+    objectives = []
+    majorize_at = rf_bmm.majorize
+
+    def recorded(q, d_anchor):
+        objectives.append(q.objective(d_anchor))
+        return majorize_at(q, d_anchor)
+
+    monkeypatch.setattr(rf_bmm, "majorize", recorded)
+    return objectives
 
 
 class TestBmmSolve:
@@ -175,7 +199,9 @@ class TestBmmSolve:
         q, _, _ = make_instance(gen, gamma=np.array([0.0, 0.0]), p_max=1e9)
         d0 = random_unit_modulus(gen, q.d_dim)
         monkeypatch.setattr(rf_bmm, "MAX_ITER", 40)
+        objectives = record_anchors(monkeypatch)
         result = bmm_solve(q, d0)
+        objectives.append(q.objective(result.d))
         # replicate: duals stay zero so each step is the bare projection
         d = d0
         trace = [q.objective(d)]
@@ -187,9 +213,10 @@ class TestBmmSolve:
             trace.append(q.objective(d))
             if abs(trace[-1] - trace[-2]) / max(abs(trace[-1]), 1e-30) <= 1e-6:
                 break
-        np.testing.assert_allclose(result.objective_trace, trace, rtol=1e-12)
+        np.testing.assert_allclose(objectives, trace, rtol=1e-12)
 
-    def test_objective_trace_nonincreasing(self):
+    def test_objective_trace_nonincreasing(self, monkeypatch):
+        objectives = record_anchors(monkeypatch)
         gen = Rng(61).generator()
         done = 0
         for _ in range(40):
@@ -198,8 +225,9 @@ class TestBmmSolve:
                 d0 = feasible_start(q, gen, tries=500)
             except RuntimeError:
                 continue
+            objectives.clear()
             result = bmm_solve(q, d0)
-            trace = np.array(result.objective_trace)
+            trace = np.array(objectives + [q.objective(result.d)])
             assert np.all(np.diff(trace) <= 1e-9)
             done += 1
             if done >= 20:
@@ -243,6 +271,26 @@ class TestBmmSolve:
             assert q.objective(nxt) <= ms.surrogate_objective(nxt) + 1e-9
             assert ms.surrogate_objective(d) == pytest.approx(q.objective(d), abs=1e-9)
             d = nxt
+
+    def test_stall_guard_keeps_last_accepted_iterate(self, monkeypatch):
+        # the second primal step returns a point with a worse objective: the
+        # guard stops there and returns the first step's output unchanged
+        steps = []
+        step = rf_bmm.primal_step
+
+        def worse_second_step(ms, duals):
+            out = step(ms, duals)
+            steps.append(out)
+            return -out if len(steps) == 2 else out
+
+        monkeypatch.setattr(rf_bmm, "primal_step", worse_second_step)
+        gen = Rng(65).generator()
+        q, _, _ = make_instance(gen, gamma=np.array([0.5, 0.5]), noise=0.1)
+        d0 = feasible_start(q, gen, tries=2000)
+        result = bmm_solve(q, d0)
+        assert len(steps) == 2 and q.objective(-steps[1]) > q.objective(steps[0])
+        assert result.iterations == 2 and result.converged
+        assert result.d.tobytes() == steps[0].tobytes()
 
     def test_infeasible_start_rejected(self):
         gen = Rng(64).generator()

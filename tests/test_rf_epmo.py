@@ -252,28 +252,44 @@ class TestManifoldOps:
         assert slope == pytest.approx(2.0, abs=0.1)
 
 
+def record_steps(monkeypatch):
+    """Record (mu, penalty value) wherever the CG loop takes a gradient: at
+    the start of each round and at every accepted step."""
+    steps = []
+    gradient = rf_epmo.euclidean_gradient
+
+    def recorded(q, d, mu, parts=None):
+        steps.append((mu, penalty_objective(q, d, mu)))
+        return gradient(q, d, mu, parts)
+
+    monkeypatch.setattr(rf_epmo, "euclidean_gradient", recorded)
+    return steps
+
+
 class TestEpmoSolve:
-    def test_unconstrained_instance_converges(self):
+    def test_unconstrained_instance_converges(self, monkeypatch):
         gen = Rng(82).generator()
         q, _, _ = make_instance(gen, gamma=np.array([0.0, 0.0]), p_max=1e9)
         d0 = random_unit_modulus(gen, q.d_dim)
+        steps = record_steps(monkeypatch)
         result = epmo_solve(q, d0)
         assert result.feasible
-        assert result.outer_rounds == 1  # penalty never escalated
-        mus = {rec["mu"] for rec in result.trace}
-        assert mus <= {rf_epmo.MU0}
-        final_gsq = result.trace[-1]["grad_norm_sq"] if result.trace else 0.0
-        assert final_gsq <= TOL_GRAD or len(result.trace) == 0
+        assert {mu for mu, _ in steps} == {rf_epmo.MU0}  # penalty never escalated
+        # the squared gradient norm the loop stopped on
+        grad = riemannian_gradient(result.d, euclidean_gradient(q, result.d, rf_epmo.MU0))
+        assert float(np.vdot(grad, grad).real) <= TOL_GRAD
 
-    def test_objective_trace_nonincreasing_within_mu(self):
+    def test_objective_trace_nonincreasing_within_mu(self, monkeypatch):
         gen = Rng(83).generator()
+        steps = record_steps(monkeypatch)
         for _ in range(10):
             q, _, _ = make_instance(gen, gamma=np.array([1.0, 1.0]), noise=0.2)
             d0 = random_unit_modulus(gen, q.d_dim)
-            result = epmo_solve(q, d0)
+            steps.clear()
+            epmo_solve(q, d0)
             by_mu = {}
-            for rec in result.trace:
-                by_mu.setdefault(rec["mu"], []).append(rec["objective"])
+            for mu, value in steps:
+                by_mu.setdefault(mu, []).append(value)
             for vals in by_mu.values():
                 diffs = np.diff(np.array(vals))
                 assert np.all(diffs <= 1e-9 * np.maximum(1.0, np.abs(np.array(vals[:-1]))))
@@ -322,7 +338,7 @@ class TestEpmoSolve:
         monkeypatch.setattr(rf_epmo, "MAX_INNER", 60)
         result = epmo_solve(q, d0)
         assert not result.feasible
-        assert result.violation > rf_epmo.TOL_VIOLATION
+        assert constraint_violation(q, result.d) > rf_epmo.TOL_VIOLATION
 
 
 class TestPenaltyConfig:
@@ -333,6 +349,7 @@ class TestPenaltyConfig:
         q, _, _ = make_instance(gen, gamma=np.array([1e9, 1e9]), noise=10.0, p_max=1e-9)
         monkeypatch.setattr(rf_epmo, "MAX_OUTER", 1)
         monkeypatch.setattr(rf_epmo, "MAX_INNER", 1)
+        steps = record_steps(monkeypatch)
         result = epmo_solve(q, random_unit_modulus(gen, q.d_dim))
-        assert not result.feasible and result.outer_rounds == 1
-        assert result.violation == constraint_violation(q, result.d)
+        assert not result.feasible
+        assert {mu for mu, _ in steps} == {rf_epmo.MU0}  # one penalty round

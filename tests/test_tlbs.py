@@ -175,7 +175,7 @@ class TestInnerBcd:
         # an RF step that gives up leaves a feasible incoming RF stage in
         # place, and the baseband and auxiliary blocks go on descending
         def gives_up(q, d, tol_violation=rf_epmo.TOL_VIOLATION):
-            return rf_epmo.EpmoResult(d=d, feasible=False, violation=1.0)
+            return rf_epmo.EpmoResult(d=d, feasible=False)
 
         monkeypatch.setattr(tlbs, "epmo_solve", gives_up)
         cfg, ch, rs = scenario()
@@ -247,13 +247,18 @@ class TestSolveOptions:
         dict(tol_bcd=float("inf")),
         dict(tol_rate=float("nan")),
         dict(tol_rate=float("inf")),
+        dict(max_bcd=2.5),
+        dict(max_bcd=3.0),
+        dict(seed=1.5),
+        dict(seed=1.0),
     ])
     def test_invalid_options_rejected_when_built(self, fields):
         with pytest.raises(ValueError):
             SolveOptions(**fields)
 
     @pytest.mark.parametrize("fields", [dict(max_bcd=1), dict(seed=0),
-                                        dict(seed=2**64 - 1)])
+                                        dict(seed=2**64 - 1),
+                                        dict(max_bcd=np.int64(3), seed=np.uint64(7))])
     def test_edges_accepted(self, fields):
         SolveOptions(**fields)
 

@@ -144,9 +144,6 @@ class _BarrierProgram:
         """Slack u_i, gradient u'_i and Hessian u''_i of each cone at x."""
         return self._cone_terms(self._slacks(x, strict=False)[1])
 
-    def grad_hess(self, x, kappa):
-        return self._grad_hess(x, kappa, self._slacks(x, strict=False))
-
     def _grad_hess(self, x, kappa, slacks):
         """Barrier gradient and Hessian at x from its `_slacks` evaluation."""
         ub, cone_slacks = slacks

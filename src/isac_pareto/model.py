@@ -4,8 +4,8 @@ Holds the full system description (array, users, targets, power, noise,
 frame budget, reliability targets) and the metrics every solver and
 experiment is judged by: per-user SINR, the SINR/power constraint margins
 every solver layer checks feasibility with, the short-packet achievable
-rate with its dispersion penalty, the radar beamforming error against an
-ideal steering precoder, and transmit beampatterns.
+rate with its dispersion penalty, and the radar beamforming error against
+an ideal steering precoder.
 
 Rates are handled in nats throughout; conversion to bits happens only at
 the reporting boundary.
@@ -35,8 +35,6 @@ __all__ = [
     "shannon_rate",
     "fbl_rate",
     "rbe",
-    "beampattern",
-    "desired_beampattern",
     "NATS_PER_BIT",
     "CAP_RTOL",
     "FEAS_SLACK",
@@ -267,30 +265,3 @@ def fbl_rate(gamma: float, beta, eps: float):
 def rbe(pc: HybridPrecoder, rs: RadarSpec) -> float:
     """Radar beamforming error: squared Frobenius gap to the ideal precoder."""
     return float(np.linalg.norm(pc.effective() - rs.f_r @ pc.u) ** 2)
-
-
-def beampattern(pc: HybridPrecoder, grid_deg: Sequence[float], geom: ArrayGeometry) -> np.ndarray:
-    """Transmit power G(theta) = a(theta)^H C_x a(theta) on an angle grid.
-
-    Evaluated through the factored form |a^H F|^2, which is exactly the
-    quadratic form in the transmit covariance; clamped at zero against
-    roundoff.
-    """
-    grid = np.atleast_1d(np.asarray(grid_deg, dtype=float))
-    if grid.size == 0:
-        raise ValueError("angle grid must be nonempty")
-    a = steering_matrix(grid, geom)  # (N_t, G)
-    proj = a.conj().T @ pc.effective()  # (G, M)
-    g = np.sum(np.abs(proj) ** 2, axis=1)
-    return np.maximum(g, 0.0)
-
-
-def desired_beampattern(target_angles_deg, spread_deg: float, grid_deg) -> np.ndarray:
-    """Indicator mask: 1 strictly inside (target +- spread), else 0."""
-    if spread_deg <= 0:
-        raise ValueError("spread must be positive")
-    grid = np.atleast_1d(np.asarray(grid_deg, dtype=float))
-    mask = np.zeros(grid.shape)
-    for center in np.atleast_1d(target_angles_deg):
-        mask[np.abs(grid - center) < spread_deg] = 1.0
-    return mask

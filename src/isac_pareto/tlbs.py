@@ -26,7 +26,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .bb_solver import InfeasibleSubproblem, solve_bb, update_u
+from .bb_solver import InfeasibleSubproblem, SolverError, solve_bb, update_u
 from .channel import ChannelSet
 from .fbl import allocate_blocklengths, solve_gamma_threshold
 from .model import (
@@ -295,10 +295,15 @@ def inner_bcd(
 
 
 def _bb_step(f_rf, f_bb, u, ch, rs, gammas, cfg):
-    """Cone-program baseband update at the incumbent's rim, with monotone acceptance."""
+    """Cone-program baseband update at the incumbent's rim, with monotone acceptance.
+
+    Returns None when the cones are empty, and also when the solver cannot
+    certify its point (SolverError): either way the BCD has no new baseband
+    to take, and ends on its incoming pair or rejects the probe.
+    """
     try:
         sol = solve_bb(f_rf, ch.h, rs.f_r @ u, gammas, cfg.p_max, cfg.noise, f_ref=f_bb)
-    except InfeasibleSubproblem:
+    except (InfeasibleSubproblem, SolverError):
         return None
     current = rbe(HybridPrecoder(f_rf=f_rf, f_bb=f_bb, u=u), rs)
     if sol.objective <= current or not _is_feasible(

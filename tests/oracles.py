@@ -3,13 +3,17 @@
 Everything here is deliberately written from first principles (series,
 continued fractions, scalar loops, exhaustive enumeration) so that the
 expected values frozen into the tests never share code with the paths
-they validate.
+they validate. The transmit beampatterns and `barrier_grad_hess` at the end
+are different: they are quantities only tests read, kept here so that the
+package holds no code without a caller in it.
 """
 
 import math
 
 import numpy as np
 from scipy.special import erfc
+
+from isac_pareto.channel import steering_matrix
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -336,3 +340,36 @@ class BarrierProgramReference:
                     return x, decrement, steps
             x = cand
         return x, decrement, steps
+
+
+def barrier_grad_hess(prog, x, kappa):
+    """Gradient and Hessian of a `bb_solver._BarrierProgram` at x, from a
+    fresh slack evaluation (the solver reuses the one of its interior test)."""
+    return prog._grad_hess(x, kappa, prog._slacks(x, strict=False))
+
+
+def beampattern(pc, grid_deg, geom) -> np.ndarray:
+    """Transmit power G(theta) = a(theta)^H C_x a(theta) on an angle grid.
+
+    Evaluated through the factored form |a^H F|^2, which is exactly the
+    quadratic form in the transmit covariance; clamped at zero against
+    roundoff.
+    """
+    grid = np.atleast_1d(np.asarray(grid_deg, dtype=float))
+    if grid.size == 0:
+        raise ValueError("angle grid must be nonempty")
+    a = steering_matrix(grid, geom)  # (N_t, G)
+    proj = a.conj().T @ pc.effective()  # (G, M)
+    g = np.sum(np.abs(proj) ** 2, axis=1)
+    return np.maximum(g, 0.0)
+
+
+def desired_beampattern(target_angles_deg, spread_deg: float, grid_deg) -> np.ndarray:
+    """Indicator mask: 1 strictly inside (target +- spread), else 0."""
+    if spread_deg <= 0:
+        raise ValueError("spread must be positive")
+    grid = np.atleast_1d(np.asarray(grid_deg, dtype=float))
+    mask = np.zeros(grid.shape)
+    for center in np.atleast_1d(target_angles_deg):
+        mask[np.abs(grid - center) < spread_deg] = 1.0
+    return mask

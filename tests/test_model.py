@@ -6,9 +6,7 @@ from isac_pareto.model import (
     HybridPrecoder,
     RadarSpec,
     SystemConfig,
-    beampattern,
     constraint_margins,
-    desired_beampattern,
     dispersion,
     fbl_rate,
     ideal_radar_precoder,
@@ -18,7 +16,7 @@ from isac_pareto.model import (
 )
 from isac_pareto.numerics import Rng
 from isac_pareto.tlbs import ParetoPoint, validate_point
-from oracles import frobenius_loop, inv_q_bisect, sinr_loop
+from oracles import beampattern, desired_beampattern, frobenius_loop, inv_q_bisect, sinr_loop
 
 
 def random_instance(gen, n_tx=8, n_rf=3, m=2, n_tar=2):

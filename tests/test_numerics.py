@@ -1,7 +1,9 @@
+import math
 from statistics import NormalDist
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from isac_pareto.numerics import Rng, bracketed_root, fast_unit, inv_q, phase_project
 from oracles import inv_q_bisect, phase_project_reference, q_function, q_oracle
@@ -48,6 +50,28 @@ class TestInvQ:
     def test_domain_errors(self, p):
         with pytest.raises(ValueError):
             inv_q(p)
+
+    def test_bit_exact_against_scipy_ndtri(self):
+        # inv_q ports Cephes ndtri so that the package need not import
+        # scipy; scipy's ndtri stays the oracle, compared by the bits
+        gen = Rng(17).generator()
+        lower = 10.0 ** gen.uniform(-300.0, math.log10(0.5), 3000)
+        upper = 1.0 - 10.0 ** gen.uniform(-16.0, math.log10(0.5), 3000)
+        edges = []
+        for edge in (math.exp(-2.0), 1.0 - math.exp(-2.0), math.exp(-32.0)):
+            below = above = edge
+            for _ in range(3):
+                below = math.nextafter(below, 0.0)
+                above = math.nextafter(above, 1.0)
+                edges += [below, above]
+            edges.append(edge)
+        # the error probabilities the tests and the benchmark configure
+        configured = [1e-9, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 0.5, 0.6, 0.9]
+        ps = np.concatenate([lower, upper, edges, configured])
+        got = np.array([inv_q(float(p)) for p in ps])
+        want = -ndtri(ps)
+        mismatch = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
+        assert [(ps[i], got[i].hex(), want[i].hex()) for i in mismatch[:5]] == []
 
 
 class TestBracketedRoot:

@@ -3,11 +3,14 @@ the same benchmark solves bit for bit.
 
 No digest value is pinned: a change that alters results changes it on
 purpose. The test checks that the tool runs against the package's current
-names and that one round hashes to the same sha256 twice.
+names, that one round hashes to the same sha256 twice, and that the command
+line hashes only the workloads it is given.
 """
 
 import importlib.util
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "round_digest.py"
@@ -25,3 +28,10 @@ def test_round_digest_is_a_repeatable_sha256():
     first = tool.round_digest("digital-emax-sweep", 1)
     assert re.fullmatch(r"[0-9a-f]{64}", first)
     assert tool.round_digest("digital-emax-sweep", 1) == first
+
+
+def test_command_line_hashes_one_named_workload():
+    out = subprocess.run(
+        [sys.executable, str(TOOL), "--workload", "single-user-brute", "--seed", "1"],
+        check=True, capture_output=True, text=True).stdout
+    assert re.fullmatch(r"single-user-brute [0-9a-f]{64}\n", out)

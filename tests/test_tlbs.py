@@ -8,7 +8,7 @@ import pytest
 
 import isac_pareto
 from isac_pareto import rf_epmo, tlbs
-from isac_pareto.bb_solver import InfeasibleSubproblem
+from isac_pareto.bb_solver import InfeasibleSubproblem, SolverError
 from isac_pareto.channel import generate_channels
 from isac_pareto.model import (
     FEAS_SLACK,
@@ -22,6 +22,7 @@ from isac_pareto.model import (
 )
 from isac_pareto.numerics import Rng, phase_project
 from isac_pareto.tlbs import (
+    InnerResult,
     ParetoPoint,
     SolveOptions,
     inner_bcd,
@@ -228,6 +229,32 @@ class TestInnerBcd:
                                      cfg.noise, cfg.p_max)
         assert worst_margin(margins) <= FEAS_SLACK
 
+    def test_uncertified_baseband_solve_ends_the_loop_without_raising(self, monkeypatch):
+        # a cone solve that cannot certify its point (SolverError) is no
+        # baseband step, like an empty cone program: the BCD ends on its
+        # incoming pair or rejects the probe, and tlbs_solve goes on
+        calls = []
+        solve_bb = tlbs.solve_bb
+
+        def fails_second(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise SolverError("stationarity residual above KKT_TOL")
+            return solve_bb(*args, **kwargs)
+
+        monkeypatch.setattr(tlbs, "solve_bb", fails_second)
+        cfg, ch, rs = scenario()
+        init = init_precoder(cfg, ch, rs, Rng(5), "epmo")
+        gammas = np.full(2, 1e-3)
+        res = inner_bcd(1.0, cfg, ch, rs, init, SolveOptions(rf_method="epmo", max_bcd=3),
+                        gammas=gammas)
+        assert isinstance(res, InnerResult)
+        # the second pass's RF stage met the measure, so the loop ends on it
+        assert len(calls) == 2 and res.feasible and len(res.trace) == 2
+        margins = constraint_margins(res.precoder.effective(), ch.h, gammas,
+                                     cfg.noise, cfg.p_max)
+        assert worst_margin(margins) <= FEAS_SLACK
+
     def test_fixed_point_rerun(self):
         cfg, ch, rs = scenario(seed=2)
         init = init_precoder(cfg, ch, rs, Rng(5), "epmo")
@@ -304,18 +331,18 @@ class TestSolveOptions:
 
 
 def test_import_loads_no_scipy_subpackage_but_special():
-    # importing the solver stack stays cheap: scipy.optimize alone would add
-    # about 100 ms to every fresh process, scipy.stats about 330 ms
+    # importing the solver stack stays cheap: scipy.special alone would add
+    # about 0.2 s to every fresh process, and numerics.inv_q runs a port of
+    # its ndtri instead, so no scipy module may load at all
     code = ("import sys, isac_pareto.tlbs\n"
-            "for name, mod in sorted(sys.modules.items()):\n"
-            "    public = name.count('.') == 1 and not name[6:].startswith('_')\n"
-            "    if name.startswith('scipy.') and public and hasattr(mod, '__path__'):\n"
+            "for name in sorted(sys.modules):\n"
+            "    if name == 'scipy' or name.startswith('scipy.'):\n"
             "        print(name)\n")
     src = os.path.dirname(os.path.dirname(isac_pareto.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.split() == ["scipy.special"]
+    assert out.split() == []
 
 
 class TestTlbsSolve:

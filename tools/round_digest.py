@@ -1,9 +1,10 @@
 """One sha256 per benchmark workload over every solve of one round.
 
-    python3 tools/round_digest.py [--seed 1]
+    python3 tools/round_digest.py [--seed 1] [--workload NAME ...]
 
-For each workload of `perfbench/workloads.py` this solves one round, in the
-order the seed sets, and prints `<workload> <sha256>`. The hash covers each
+For each workload of `perfbench/workloads.py` (or each one named with
+--workload, which may be repeated) this solves one round, in the order the
+seed sets, and prints `<workload> <sha256>`. The hash covers each
 solve's feasibility, rate, RBE and blocklengths, the bisection trace (rate,
 verdict and RBE of every probe) of a Pareto-point solve, the BCD trace of a
 fixed-rate solve, and the bytes of F_rf, F_bb and U. Two checkouts whose
@@ -78,8 +79,10 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=1,
                         help="sets the order of the cases within a round")
+    parser.add_argument("--workload", action="append", choices=workloads.WORKLOADS,
+                        help="hash only this workload (repeatable; default: all)")
     args = parser.parse_args()
-    for workload in workloads.WORKLOADS:
+    for workload in args.workload or workloads.WORKLOADS:
         print(workload, round_digest(workload, args.seed), flush=True)
 
 

@@ -31,6 +31,8 @@ class ArrayGeometry:
     spacing_over_lambda: float = 0.5
 
     def __post_init__(self):
+        if not isinstance(self.n_elements, (int, np.integer)):
+            raise ValueError("n_elements must be an integer")
         if self.n_elements < 1:
             raise ValueError("n_elements must be >= 1")
         if self.spacing_over_lambda <= 0:

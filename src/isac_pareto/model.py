@@ -85,6 +85,9 @@ class SystemConfig:
     spacing_over_lambda: float = 0.5
 
     def __post_init__(self):
+        for name in ("n_tx", "n_rf", "n_cu", "n_tar", "n_clu", "n_ray"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise ValueError(f"{name} must be an integer")
         if not (self.n_cu <= self.n_rf <= self.n_tx):
             raise ValueError(
                 f"need n_cu <= n_rf <= n_tx, got {self.n_cu}, {self.n_rf}, {self.n_tx}"
@@ -184,8 +187,8 @@ def ideal_radar_precoder(angles_deg: Sequence[float], geom: ArrayGeometry,
         raise ValueError("need at least one target angle")
     f_r = steering_matrix(angles, geom)
     if power is not None:
-        if power <= 0:
-            raise ValueError("reference power must be positive")
+        if not 0 < power < math.inf:
+            raise ValueError("reference power must be positive and finite")
         f_r = f_r * np.sqrt(power / len(angles))
     return RadarSpec(f_r=f_r, target_angles_deg=angles)
 

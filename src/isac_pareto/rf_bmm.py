@@ -13,9 +13,10 @@ bisection bracket (Sun, Babu & Palomar 2017, "Majorization-Minimization
 Algorithms in Signal Processing", on solving MM subproblems), warm-started
 at the multiplier of the previous iteration.
 
-SINR surrogates are handled in noise-normalized units and the power
-surrogate in budget-normalized units so the multiplier windows are
-dimensionless.
+The constraint surrogates form one stack, a row per active SINR
+constraint in noise-normalized units and the power budget last in
+budget-normalized units, so every multiplier window is dimensionless and
+the multipliers are one nonnegative vector with the power multiplier last.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .numerics import fast_unit, phase_project
 from .quadratics import QuadraticForms
 
 __all__ = [
-    "DualState",
     "MajorizerSet",
     "BmmResult",
     "InfeasibleStart",
@@ -62,46 +62,25 @@ class DualDivergence(RuntimeError):
     """A dual bracket grew past 2^64: the surrogate constraint is unattainable."""
 
 
-@dataclass
-class DualState:
-    """Multipliers for the active SINR constraints and the power constraint."""
-
-    lam: np.ndarray
-    vartheta: float = 0.0
-
-    def __post_init__(self):
-        self.lam = np.asarray(self.lam, dtype=float)
-        if np.any(self.lam < 0) or self.vartheta < 0:
-            raise ValueError("dual multipliers must be nonnegative")
-
-    @classmethod
-    def zeros(cls, n_active: int) -> "DualState":
-        return cls(lam=np.zeros(n_active), vartheta=0.0)
-
-
 @dataclass(frozen=True)
 class MajorizerSet:
     """Linear-plus-constant surrogates anchored at one unit-modulus point.
 
     Every surrogate evaluates as 2*Re(d^H u) + k. The objective surrogate is
-    in raw units; constraint surrogates are normalized (noise / budget).
+    in raw units; the constraint rows are normalized, one per active SINR
+    constraint (by the noise) and the power budget last (by the budget).
     """
 
     u_obj: np.ndarray
     k_obj: float
-    u_g: np.ndarray       # (n_active, D)
-    k_g: np.ndarray       # (n_active,)
-    u_p: np.ndarray
-    k_p: float
+    u_c: np.ndarray       # (n_active + 1, D)
+    k_c: np.ndarray       # (n_active + 1,)
 
     def surrogate_objective(self, d: np.ndarray) -> float:
         return 2.0 * float(np.real(np.vdot(self.u_obj, d))) + self.k_obj
 
-    def surrogate_sinr(self, d: np.ndarray, k: int) -> float:
-        return 2.0 * float(np.real(np.vdot(self.u_g[k], d))) + self.k_g[k]
-
-    def surrogate_power(self, d: np.ndarray) -> float:
-        return 2.0 * float(np.real(np.vdot(self.u_p, d))) + self.k_p
+    def surrogate_constraint(self, d: np.ndarray, k: int) -> float:
+        return 2.0 * float(np.real(np.vdot(self.u_c[k], d))) + self.k_c[k]
 
 
 @dataclass
@@ -134,39 +113,35 @@ def majorize(q: QuadraticForms, d_anchor: np.ndarray) -> MajorizerSet:
     k_obj = -quad0 + 2.0 * dim * q.c_r + q.e_r
 
     n_act = q.active.size
-    u_g = np.zeros((n_act, dim), dtype=np.complex128)
-    k_g = np.zeros(n_act)
+    u_c = np.empty((n_act + 1, dim), dtype=np.complex128)
+    k_c = np.empty(n_act + 1)
     for k, m in enumerate(q.active):
         delta_d0 = q.delta_dot(d0, m) / q.noise
         c_hat = q.c_m[m] / q.noise
-        u_g[k] = delta_d0 - c_hat * d0
-        k_g[k] = -float(np.real(np.vdot(d0, delta_d0))) + 2.0 * dim * c_hat + 1.0
+        u_c[k] = delta_d0 - c_hat * d0
+        k_c[k] = -float(np.real(np.vdot(d0, delta_d0))) + 2.0 * dim * c_hat + 1.0
 
     c_p_hat = q.c_p / q.p_max
-    u_p = xi_d0 / q.p_max - c_p_hat * d0
-    k_p = -quad0 / q.p_max + 2.0 * dim * c_p_hat - 1.0
+    u_c[-1] = xi_d0 / q.p_max - c_p_hat * d0
+    k_c[-1] = -quad0 / q.p_max + 2.0 * dim * c_p_hat - 1.0
 
-    return MajorizerSet(u_obj=u_obj, k_obj=k_obj,
-                        u_g=u_g, k_g=k_g, u_p=u_p, k_p=k_p)
-
-
-def _combined(ms: MajorizerSet, lam: np.ndarray, vartheta: float) -> np.ndarray:
-    v = ms.u_obj + ms.u_p * vartheta
-    if lam.size:
-        v = v + lam @ ms.u_g
-    return v
+    return MajorizerSet(u_obj=u_obj, k_obj=k_obj, u_c=u_c, k_c=k_c)
 
 
-def primal_step(ms: MajorizerSet, duals: DualState) -> np.ndarray:
+def _combined(ms: MajorizerSet, y: np.ndarray) -> np.ndarray:
+    return ms.u_obj + y @ ms.u_c
+
+
+def primal_step(ms: MajorizerSet, y: np.ndarray) -> np.ndarray:
     """Closed-form minimizer of the surrogate Lagrangian on the circle manifold."""
-    return phase_project(-_combined(ms, duals.lam, duals.vartheta))
+    return phase_project(-_combined(ms, y))
 
 
-def _lagrangian_at_minimizer(ms: MajorizerSet, lam: np.ndarray, vartheta: float) -> float:
-    d = fast_unit(-_combined(ms, lam, vartheta))
-    value = ms.surrogate_objective(d) + vartheta * ms.surrogate_power(d)
-    for k in range(lam.size):
-        value += lam[k] * ms.surrogate_sinr(d, k)
+def _lagrangian_at_minimizer(ms: MajorizerSet, y: np.ndarray) -> float:
+    d = fast_unit(-_combined(ms, y))
+    value = ms.surrogate_objective(d)
+    for k in range(y.size):
+        value += y[k] * ms.surrogate_constraint(d, k)
     return value
 
 
@@ -274,39 +249,32 @@ def _solve_multiplier(probe: _ConstraintProbe, x_start: float) -> float:
     return upper[0]  # feasible side if the tolerance window was never hit
 
 
-def dual_bisection(ms: MajorizerSet, duals_in: DualState) -> DualState:
-    """Coordinate ascent on the surrogate dual: each multiplier is either
-    slack (set to zero) or solved, warm-started at its incoming value,
-    until its constraint sits in (-TOL, 0].
+def dual_bisection(ms: MajorizerSet, y_in: np.ndarray) -> np.ndarray:
+    """Coordinate ascent on the surrogate dual: each multiplier, in row
+    order, is either slack (set to zero) or solved, warm-started at its
+    incoming value, until its constraint sits in (-TOL, 0].
 
     Sweeps repeat until the Lagrangian value at the primal minimizer is
     stable to relative tolerance TOL, with a hard cap of 50 sweeps.
     """
-    lam = duals_in.lam.copy()
-    vth = duals_in.vartheta
+    y = np.array(y_in, dtype=float)
     prev = None
-    s_g = ms.u_g.real ** 2 + ms.u_g.imag ** 2
-    s_p = ms.u_p.real ** 2 + ms.u_p.imag ** 2
-    s_g_max = s_g.max(axis=1)
-    s_p_max = float(s_p.max())
+    s = ms.u_c.real ** 2 + ms.u_c.imag ** 2
+    s_max = s.max(axis=1)
 
     for _ in range(MAX_DUAL_SWEEPS):
-        for k in range(lam.size):
-            # other multipliers frozen: the probe direction is u_g[k] alone
-            others = lam.copy()
+        for k in range(y.size):
+            # other multipliers frozen: the probe direction is u_c[k] alone
+            others = y.copy()
             others[k] = 0.0
-            probe = _ConstraintProbe(_combined(ms, others, vth), ms.u_g[k],
-                                     s_g[k], s_g_max[k], ms.k_g[k])
-            lam[k] = _solve_multiplier(probe, lam[k])
-
-        probe = _ConstraintProbe(_combined(ms, lam, 0.0), ms.u_p, s_p, s_p_max,
-                                 ms.k_p)
-        vth = _solve_multiplier(probe, vth)
-        value = _lagrangian_at_minimizer(ms, lam, vth)
+            probe = _ConstraintProbe(_combined(ms, others), ms.u_c[k],
+                                     s[k], s_max[k], ms.k_c[k])
+            y[k] = _solve_multiplier(probe, y[k])
+        value = _lagrangian_at_minimizer(ms, y)
         if prev is not None and abs(value - prev) <= TOL * max(abs(value), 1e-30):
             break
         prev = value
-    return DualState(lam=lam, vartheta=vth)
+    return y
 
 
 def bmm_solve(q: QuadraticForms, d_init: np.ndarray) -> BmmResult:
@@ -322,14 +290,14 @@ def bmm_solve(q: QuadraticForms, d_init: np.ndarray) -> BmmResult:
     if violation > FEAS_SLACK:
         raise InfeasibleStart(
             f"starting point violates constraints by {violation:.3e} (relative)")
-    duals = DualState.zeros(q.active.size)
+    y = np.zeros(q.active.size + 1)
     obj = q.objective(d)
     converged = False
     iterations = 0
     for iterations in range(1, MAX_ITER + 1):
         ms = majorize(q, d)
-        duals = dual_bisection(ms, duals)
-        candidate = primal_step(ms, duals)
+        y = dual_bisection(ms, y)
+        candidate = primal_step(ms, y)
         cand_obj = q.objective(candidate)
         if cand_obj > obj or worst_margin(q.constraint_margins(candidate)) > FEAS_SLACK:
             converged = True  # stalled at numerical resolution

@@ -319,8 +319,10 @@ def _even_split(frame: int, m: int) -> np.ndarray:
     return betas
 
 
-def _attempt_rate(rate, cfg, ch, rs, init, opts, incumbent_beta):
-    """One bisection probe: (blocklength split, or None if rejected; inner result)."""
+def probe_rate(rate, cfg, ch, rs, init, opts, incumbent_beta):
+    """One bisection probe from the start `init`, with SINR thresholds set by
+    the split `incumbent_beta`: (blocklength split, or None if rejected;
+    inner result)."""
     gammas = _gamma_thresholds(cfg, rate + RATE_PAD, incumbent_beta, opts.rate_mode)
     inner = inner_bcd(rate, cfg, ch, rs, init, opts, gammas=gammas)
     if not inner.feasible:
@@ -365,7 +367,7 @@ def tlbs_solve(
 
     for k in range(n_iter):
         rate = 0.5 * (rate_low + rate_high)
-        betas, inner = _attempt_rate(rate, cfg, ch, rs, init, opts, incumbent_beta)
+        betas, inner = probe_rate(rate, cfg, ch, rs, init, opts, incumbent_beta)
         if betas is not None:
             rate_low = rate
             incumbent_beta = betas
@@ -395,16 +397,6 @@ def tlbs_solve(
         scheme=scheme,
         outer_trace=outer_trace,
     )
-
-
-def probe_rate(cfg, ch, rs, opts, rate,
-               incumbent_beta: Optional[np.ndarray] = None) -> bool:
-    """Re-run one bisection probe at an arbitrary rate (bracketing checks)."""
-    init = init_precoder(cfg, ch, rs, Rng(opts.seed), opts.rf_method)
-    if incumbent_beta is None:
-        incumbent_beta = _even_split(cfg.frame_budget, cfg.n_cu)
-    betas, _ = _attempt_rate(rate, cfg, ch, rs, init, opts, incumbent_beta)
-    return betas is not None
 
 
 def validate_point(cfg: SystemConfig, ch: ChannelSet, rs: RadarSpec,

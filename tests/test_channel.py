@@ -58,6 +58,14 @@ class TestSteeringVector:
             steering_vector(91.0, ArrayGeometry(4))
 
 
+class TestArrayGeometry:
+    def test_non_integer_count_rejected(self):
+        for n in (4.5, 4.0):
+            with pytest.raises(ValueError, match="n_elements"):
+                ArrayGeometry(n)
+        assert ArrayGeometry(np.int64(4)).n_elements == 4
+
+
 class TestPathLoss:
     def test_reference_distance(self):
         assert path_loss_db(1.0, 0.0) == pytest.approx(61.4)

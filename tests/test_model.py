@@ -77,6 +77,12 @@ class TestSystemConfig:
         (dict(frame_budget=2.5), "frame budget"),
         (dict(frame_budget=128.0), "frame budget"),
         (dict(n_rf=4, n_tar=3, target_angles_deg=(-50., 10., 40.)), "n_tar"),
+        (dict(n_tx=16.5, n_rf=3), "n_tx"),
+        (dict(n_rf=3.0), "n_rf"),
+        (dict(n_cu=2.0), "n_cu"),
+        (dict(n_tar=2.0), "n_tar"),
+        (dict(n_clu=2.5), "n_clu"),
+        (dict(n_ray=3.0), "n_ray"),
     ])
     def test_channel_fields_rejected(self, fields, match):
         with pytest.raises(ValueError, match=match):
@@ -89,6 +95,7 @@ class TestSystemConfig:
         dict(target_angles_deg=(-90.0, 90.0)),
         dict(e_max=float("inf")),                   # no sensing cap
         dict(frame_budget=np.int64(128)),
+        dict(n_rf=np.int64(3), n_clu=np.int64(2), n_ray=np.int64(3)),
     ])
     def test_channel_field_edges_accepted(self, fields):
         cfg = SystemConfig(**fields)
@@ -114,6 +121,11 @@ class TestIdealRadarPrecoder:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             ideal_radar_precoder([], ArrayGeometry(4))
+
+    def test_nonfinite_power_rejected(self):
+        for power in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                ideal_radar_precoder([0.0], ArrayGeometry(4), power=power)
 
 
 class TestSinr:

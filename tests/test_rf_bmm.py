@@ -9,7 +9,6 @@ from isac_pareto.quadratics import QuadraticForms
 from isac_pareto.rf_bmm import (
     TOL,
     DualDivergence,
-    DualState,
     InfeasibleStart,
     MajorizerSet,
     bmm_solve,
@@ -55,9 +54,8 @@ class TestMajorize:
             ms = majorize(q, d0)
             assert ms.surrogate_objective(d0) == pytest.approx(q.objective(d0), abs=1e-9)
             _, res, power_res = q.probe_eval(d0)
-            for k in range(q.active.size):
-                assert ms.surrogate_sinr(d0, k) == pytest.approx(res[k], abs=1e-9)
-            assert ms.surrogate_power(d0) == pytest.approx(power_res, abs=1e-9)
+            for k, want in enumerate(np.append(res, power_res)):  # power row last
+                assert ms.surrogate_constraint(d0, k) == pytest.approx(want, abs=1e-9)
 
     def test_domination_on_random_points(self):
         gen = Rng(51).generator()
@@ -68,9 +66,8 @@ class TestMajorize:
             d = random_unit_modulus(gen, q.d_dim)
             assert ms.surrogate_objective(d) >= q.objective(d) - 1e-9
             _, res, power_res = q.probe_eval(d)
-            for k in range(q.active.size):
-                assert ms.surrogate_sinr(d, k) >= res[k] - 1e-9
-            assert ms.surrogate_power(d) >= power_res - 1e-9
+            for k, want in enumerate(np.append(res, power_res)):
+                assert ms.surrogate_constraint(d, k) >= want - 1e-9
 
     def test_identity_scaled_quadratic_reduces_to_linear(self):
         # Xi = c_r * I happens when F_bb F_bb^H is identity-like: then the
@@ -103,7 +100,7 @@ class TestPrimalStep:
         gen = Rng(54).generator()
         q, _, _ = make_instance(gen)
         d0 = random_unit_modulus(gen, q.d_dim)
-        got = primal_step(majorize(q, d0), DualState.zeros(q.active.size))
+        got = primal_step(majorize(q, d0), np.zeros(q.active.size + 1))
         want = phase_project((q.c_r * d0 - q.xi_dot(d0)) + q.a_r)
         np.testing.assert_array_equal(got, want)
 
@@ -114,7 +111,7 @@ class TestPrimalStep:
         d0 = random_unit_modulus(gen, q.d_dim)
         ms = majorize(q, d0)
         object.__setattr__(ms, "u_obj", -q.a_r)  # emulate Xi = c_r I collapse
-        got = primal_step(ms, DualState.zeros(q.active.size))
+        got = primal_step(ms, np.zeros(q.active.size + 1))
         np.testing.assert_array_equal(got, phase_project(q.a_r))
 
     def test_output_unit_modulus_and_decreases_surrogate(self):
@@ -123,7 +120,7 @@ class TestPrimalStep:
             q, _, _ = make_instance(gen)
             d0 = random_unit_modulus(gen, q.d_dim)
             ms = majorize(q, d0)
-            out = primal_step(ms, DualState.zeros(q.active.size))
+            out = primal_step(ms, np.zeros(q.active.size + 1))
             assert np.max(np.abs(np.abs(out) - 1.0)) < 1e-14
             assert ms.surrogate_objective(out) <= ms.surrogate_objective(d0) + 1e-9
 
@@ -135,8 +132,8 @@ class TestDualBisection:
         # unconstrained surrogate minimizer
         q, _, _ = make_instance(gen, gamma=np.array([1e-4, 1e-4]), p_max=1e6)
         d0 = feasible_start(q, gen)
-        out = dual_bisection(majorize(q, d0), DualState.zeros(q.active.size))
-        assert np.all(out.lam == 0.0) and out.vartheta == 0.0
+        out = dual_bisection(majorize(q, d0), np.zeros(q.active.size + 1))
+        assert np.all(out == 0.0)
 
     def test_violated_constraint_driven_to_boundary(self):
         gen = Rng(58).generator()
@@ -144,15 +141,15 @@ class TestDualBisection:
             q, _, _ = make_instance(gen, gamma=np.array([3.0, 3.0]), noise=0.3)
             d0 = feasible_start(q, gen, tries=2000) if attempt >= 0 else None
             ms = majorize(q, d0)
-            duals = dual_bisection(ms, DualState.zeros(q.active.size))  # TOL = 1e-6
-            moved = False
-            d_star = primal_step(ms, duals)
-            for k in range(q.active.size):
-                if duals.lam[k] > 0:
-                    moved = True
-                    val = ms.surrogate_sinr(d_star, k)
-                    assert -1e-5 < val <= 1e-12
-            if moved:
+            y = dual_bisection(ms, np.zeros(q.active.size + 1))  # TOL = 1e-6
+            d_star = primal_step(ms, y)
+            active = np.flatnonzero(y > 0)  # the power row included
+            for k in active:
+                # the window (-TOL, 0], with rounding room between the
+                # closed-form probe and this direct evaluation at its top
+                val = ms.surrogate_constraint(d_star, k)
+                assert -TOL < val <= 1e-12
+            if active.size:
                 return
         pytest.skip("no instance produced an active multiplier")
 
@@ -161,8 +158,8 @@ class TestDualBisection:
         values = []
         lagrangian = rf_bmm._lagrangian_at_minimizer
 
-        def recorded(ms, lam, vartheta):
-            values.append(lagrangian(ms, lam, vartheta))
+        def recorded(ms, y):
+            values.append(lagrangian(ms, y))
             return values[-1]
 
         monkeypatch.setattr(rf_bmm, "_lagrangian_at_minimizer", recorded)
@@ -174,7 +171,7 @@ class TestDualBisection:
             except RuntimeError:
                 continue
             values.clear()
-            dual_bisection(majorize(q, d0), DualState.zeros(q.active.size))
+            dual_bisection(majorize(q, d0), np.zeros(q.active.size + 1))
             trace = np.array(values)
             assert np.all(np.diff(trace) >= -1e-7 * np.maximum(1.0, np.abs(trace[:-1])))
 
@@ -261,11 +258,11 @@ class TestBmmSolve:
         monkeypatch.setattr(rf_bmm, "MAX_ITER", 5)
         result = bmm_solve(q, d0)
         d = d0
-        duals = DualState.zeros(q.active.size)
+        y = np.zeros(q.active.size + 1)
         for _ in range(3):
             ms = majorize(q, d)
-            duals = dual_bisection(ms, duals)
-            nxt = primal_step(ms, duals)
+            y = dual_bisection(ms, y)
+            nxt = primal_step(ms, y)
             if q.objective(nxt) > q.objective(d):
                 break
             assert q.objective(nxt) <= ms.surrogate_objective(nxt) + 1e-9
@@ -278,8 +275,8 @@ class TestBmmSolve:
         steps = []
         step = rf_bmm.primal_step
 
-        def worse_second_step(ms, duals):
-            out = step(ms, duals)
+        def worse_second_step(ms, y):
+            out = step(ms, y)
             steps.append(out)
             return -out if len(steps) == 2 else out
 
@@ -387,16 +384,15 @@ def chain_instances(gen, count):
             d0 = feasible_start(q, gen, tries=2000)
         except RuntimeError:
             continue
-        duals = dual_bisection(majorize(q, d0), DualState.zeros(q.active.size))
-        if np.any(duals.lam > 0) or duals.vartheta > 0:
+        y = dual_bisection(majorize(q, d0), np.zeros(q.active.size + 1))
+        if np.any(y > 0):
             found.append((q, d0))
     return found
 
 
-def surrogates_feasible(ms, duals):
-    d_star = primal_step(ms, duals)
-    values = [ms.surrogate_sinr(d_star, k) for k in range(duals.lam.size)]
-    return max(values + [ms.surrogate_power(d_star)]) <= 1e-12
+def surrogates_feasible(ms, y):
+    d_star = primal_step(ms, y)
+    return max(ms.surrogate_constraint(d_star, k) for k in range(y.size)) <= 1e-12
 
 
 class TestWarmStart:
@@ -414,17 +410,15 @@ class TestWarmStart:
         monkeypatch.setattr(rf_bmm, "_solve_multiplier", recorded_solve)
         gen = Rng(75).generator()
         for q, d in chain_instances(gen, 8):
-            duals = DualState.zeros(q.active.size)
+            warm = np.zeros(q.active.size + 1)
             for _ in range(4):  # MM iterations, each warm-started
                 ms = majorize(q, d)
-                cold = dual_bisection(ms, DualState.zeros(q.active.size))
-                duals = dual_bisection(ms, duals)
-                assert surrogates_feasible(ms, cold) and surrogates_feasible(ms, duals)
-                np.testing.assert_array_equal(duals.lam == 0.0, cold.lam == 0.0)
-                assert (duals.vartheta == 0.0) == (cold.vartheta == 0.0)
-                np.testing.assert_allclose(duals.lam, cold.lam, rtol=1e-4)
-                assert duals.vartheta == pytest.approx(cold.vartheta, rel=1e-4)
-                d = primal_step(ms, duals)
+                cold = dual_bisection(ms, np.zeros(q.active.size + 1))
+                warm = dual_bisection(ms, warm)
+                assert surrogates_feasible(ms, cold) and surrogates_feasible(ms, warm)
+                np.testing.assert_array_equal(warm == 0.0, cold == 0.0)
+                np.testing.assert_allclose(warm, cold, rtol=1e-4)
+                d = primal_step(ms, warm)
         warm_active = 0
         for probe, x_start, out in solves:
             if out == 0.0:
@@ -473,18 +467,17 @@ class TestWarmStart:
 def unattainable_set(gen, dim, n_active=2):
     """Surrogates whose first SINR constraint no multiplier can meet.
 
-    As x grows the probe tends to k_g - 2*||u_g||_1, so k_g above that
-    limit keeps the surrogate positive for every multiplier.
+    As x grows the probe tends to k - 2*||u||_1 for the row's (u, k), so k
+    above that limit keeps the surrogate positive for every multiplier.
     """
-    u_g = gen.normal(size=(n_active, dim)) + 1j * gen.normal(size=(n_active, dim))
-    k_g = np.full(n_active, -10.0 * dim)
-    k_g[0] = 2.0 * np.abs(u_g[0]).sum() + 0.5
+    u_sinr = gen.normal(size=(n_active, dim)) + 1j * gen.normal(size=(n_active, dim))
+    k_c = np.full(n_active + 1, -10.0 * dim)
+    k_c[0] = 2.0 * np.abs(u_sinr[0]).sum() + 0.5
     random_unit_modulus(gen, dim)  # a draw that keeps every later draw in place
-    return MajorizerSet(
-        u_obj=gen.normal(size=dim) + 1j * gen.normal(size=dim), k_obj=0.0,
-        u_g=u_g, k_g=k_g,
-        u_p=0.1 * (gen.normal(size=dim) + 1j * gen.normal(size=dim)), k_p=-10.0 * dim,
-    )
+    u_obj = gen.normal(size=dim) + 1j * gen.normal(size=dim)
+    u_power = 0.1 * (gen.normal(size=dim) + 1j * gen.normal(size=dim))
+    return MajorizerSet(u_obj=u_obj, k_obj=0.0,
+                        u_c=np.vstack([u_sinr, u_power]), k_c=k_c)
 
 
 class TestDualDivergence:
@@ -499,10 +492,10 @@ class TestDualDivergence:
         monkeypatch.setattr(rf_bmm._ConstraintProbe, "__call__", recorded_call)
         gen = Rng(77).generator()
         ms = unattainable_set(gen, 12)
-        for duals in (DualState.zeros(2), DualState(lam=np.array([3.0, 0.0]))):
+        for y in (np.zeros(3), np.array([3.0, 0.0, 0.0])):
             probed.clear()
             with pytest.raises(DualDivergence):  # a warm start does not hide it
-                dual_bisection(ms, duals)
+                dual_bisection(ms, y)
             # raised once the bracket reaches 2^64, not after the probe budget
             assert max(probed) == 2.0 ** rf_bmm.MAX_BRACKET_DOUBLINGS
             assert len(probed) <= rf_bmm.MAX_BRACKET_DOUBLINGS + 3

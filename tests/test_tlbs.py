@@ -373,9 +373,11 @@ class TestTlbsSolve:
         point = solves.get(_solve, 5)
         assert point.feasible
         # one tolerance above the returned rate must be infeasible through
-        # the same pipeline (with the final incumbent blocklengths)
-        assert not probe_rate(cfg, ch, rs, opts, point.rate_nats + opts.tol_rate,
-                              incumbent_beta=point.beta)
+        # the same pipeline (cold start, final incumbent blocklengths)
+        init = init_precoder(cfg, ch, rs, Rng(opts.seed), opts.rf_method)
+        betas, _ = probe_rate(point.rate_nats + opts.tol_rate, cfg, ch, rs, init,
+                              opts, point.beta)
+        assert betas is None
 
     def test_rate_nondecreasing_in_error_cap(self, solves):
         rates = []

@@ -32,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import CAP_RTOL, FEAS_SLACK, constraint_margins
+from .model import constraint_margins, feasible
 
 __all__ = [
     "SocpSolution",
@@ -58,7 +58,6 @@ class SolverError(RuntimeError):
 class SocpSolution:
     f_bb: np.ndarray
     objective: float
-    kkt_residual: float
 
 
 # ---------------------------------------------------------------------------
@@ -114,20 +113,21 @@ class _BarrierProgram:
     def _slacks(self, x, strict=True):
         """Ball slack u_p and each cone's (s, y, u) at x.
 
-        With strict set, the first rim value s <= 0 or slack <= 0 ends the
-        evaluation with None: x lies outside the interior.
+        With strict set, the first rim value or slack that is not positive
+        (NaN included) ends the evaluation with None: x lies outside the
+        interior.
         """
         ub = self.ball_value(x)
-        if strict and ub <= 0:
+        if strict and not ub > 0:
             return None
         cones = []
         for j_mat, _, y0, c, _ in self.cones:
             s = float(c @ x)
-            if strict and s <= 0:
+            if strict and not s > 0:
                 return None
             y = j_mat @ x + y0
             u = s * s - float(y @ y)
-            if strict and u <= 0:
+            if strict and not u > 0:
                 return None
             cones.append((s, y, u))
         return ub, cones
@@ -164,9 +164,8 @@ class _BarrierProgram:
         The step length 1/(1+lambda) in the damped phase guarantees descent
         without function-value comparisons (which lose all precision once
         kappa * f0 dwarfs the barrier increments), switching to full steps
-        in the quadratic phase. The start is evaluated as given (a polished
-        point may sit on a boundary); every later iterate reuses the
-        evaluation of the interior test that accepted it.
+        in the quadratic phase. The start is evaluated as given; every later
+        iterate reuses the evaluation of the interior test that accepted it.
         """
         decrement = np.inf
         slacks = self._slacks(x, strict=False)
@@ -259,7 +258,8 @@ def solve_bb(rf, h, target, gammas, p_max, noise,
 
     Raises ValueError on a nonpositive budget or noise, InfeasibleSubproblem
     when the slack-minimization phase certifies an empty interior, and
-    SolverError if Newton stalls above KKT_TOL.
+    SolverError if Newton stalls above KKT_TOL or its point is not
+    `model.feasible`.
     """
     rf = np.asarray(rf, dtype=np.complex128)
     h = np.asarray(h, dtype=np.complex128)
@@ -303,26 +303,24 @@ def solve_bb(rf, h, target, gammas, p_max, noise,
             )
 
     kappa_target = max(1e8, (len(cones) + 1) / KKT_TOL)
-    x_opt, kappa = prog.follow_path(x0, kappa0=1.0, kappa_target=kappa_target)
-    x_opt, kkt_residual = _kkt_refine(prog, x_opt, kappa)
-    if kkt_residual > KKT_TOL:
-        # push deeper along the central path, then polish again
-        x_opt, kappa = prog.follow_path(x_opt, kappa, kappa * 1e4, tol=1e-14,
-                                        factor=10.0)
-        x_opt, kkt_residual = _kkt_refine(prog, x_opt, kappa)
-    if kkt_residual > KKT_TOL:
+    x_center, kappa = prog.follow_path(x0, kappa0=1.0, kappa_target=kappa_target)
+    x_opt, kkt_residual = _kkt_refine(prog, x_center, kappa)
+    if not kkt_residual <= KKT_TOL:
+        # push deeper along the central path from the centre, not from the
+        # polished point (which may sit on a rim, where the barrier is
+        # undefined), then polish again
+        x_center, kappa = prog.follow_path(x_center, kappa, kappa * 1e4, tol=1e-14,
+                                           factor=10.0)
+        x_opt, kkt_residual = _kkt_refine(prog, x_center, kappa)
+    if not kkt_residual <= KKT_TOL:
         raise SolverError(f"stationarity residual {kkt_residual:.3e} above {KKT_TOL:.1e}")
 
     f_bb = _unlift(x_opt, n_rf, m_users)
     eff = rf @ f_bb
-    shortfall, power_excess = constraint_margins(eff, h, gammas, noise, p_max)
-    worst = np.max(shortfall, initial=-np.inf)
-    if worst > FEAS_SLACK:
-        raise SolverError(f"returned point misses an SINR threshold by {worst:.3e} (relative)")
-    if power_excess > CAP_RTOL:
-        raise SolverError(f"returned point exceeds the power budget by {power_excess:.3e} (relative)")
-    objective = float(np.linalg.norm(eff - target) ** 2)
-    return SocpSolution(f_bb=f_bb, objective=objective, kkt_residual=kkt_residual)
+    margins = constraint_margins(eff, h, gammas, noise, p_max)
+    if not feasible(margins):
+        raise SolverError(f"returned point fails the feasibility measure: {margins}")
+    return SocpSolution(f_bb=f_bb, objective=float(np.linalg.norm(eff - target) ** 2))
 
 
 def _constraint_terms(prog: _BarrierProgram, x: np.ndarray):

@@ -30,7 +30,8 @@ __all__ = [
     "sinr",
     "effective_sinr",
     "constraint_margins",
-    "worst_margin",
+    "feasible",
+    "within_cap",
     "dispersion",
     "shannon_rate",
     "fbl_rate",
@@ -41,20 +42,13 @@ __all__ = [
 ]
 
 NATS_PER_BIT = float(np.log(2.0))
-# relative slack of the power budget and the sensing cap, shared by the
-# baseband solver's own check, the probe verdict and validate_point: an
-# absolute slack would void these checks for a budget or cap near its size
+# relative slack of the power budget and the sensing cap: an absolute slack
+# would void the check for a budget or cap near its size (see `within_cap`)
 CAP_RTOL = 1e-8
-# relative slack of the worst constraint margin (1 - SINR/Gamma per user),
-# shared by the baseband solver's check of its own output, BMM's gate on its
-# start and iterates, and the BCD's checks of each stage: the barrier
-# solution sits a gap of order 1/kappa off a binding cone and its polish
-# accepts slacks just below zero, so a zero slack would reject points that
-# meet a threshold to the solver's accuracy, and with one number a point the
-# cone solver returns is never judged infeasible by the layer that called it.
-# EPMO's own verdict is looser, up to 100 times this slack (see
-# rf_epmo.TOL_VIOLATION), so the BCD lets the cone program judge an RF stage
-# and keeps the incoming pair, which met this slack, when the cones are empty
+# slack of each relative SINR shortfall: the barrier solution sits a gap of
+# order 1/kappa off a binding cone and its polish accepts slacks just below
+# zero, so a zero slack would reject points that meet a threshold to the cone
+# solver's accuracy (see `feasible`)
 FEAS_SLACK = 1e-6
 
 
@@ -228,10 +222,17 @@ def constraint_margins(eff: np.ndarray, h: np.ndarray, gamma: np.ndarray,
     return 1.0 - achieved / gamma[active], power_excess
 
 
-def worst_margin(margins) -> float:
-    """Largest entry of a `constraint_margins` pair: feasible iff <= 0."""
+def feasible(margins) -> bool:
+    """The one feasibility verdict of every solver layer, on a
+    `constraint_margins` pair: each SINR shortfall at most FEAS_SLACK and
+    the power excess at most CAP_RTOL. A NaN margin fails."""
     shortfall, power_excess = margins
-    return float(np.max(shortfall, initial=power_excess))
+    return bool(np.all(shortfall <= FEAS_SLACK)) and power_excess <= CAP_RTOL
+
+
+def within_cap(value: float, cap: float) -> bool:
+    """Whether value <= cap * (1 + CAP_RTOL); a NaN value fails."""
+    return value <= cap * (1.0 + CAP_RTOL)
 
 
 def dispersion(gamma: float):

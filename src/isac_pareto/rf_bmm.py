@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import FEAS_SLACK, worst_margin
+from .model import feasible
 from .numerics import fast_unit, phase_project
 from .quadratics import QuadraticForms
 
@@ -49,7 +49,7 @@ MAX_BISECT_STEPS = 200
 _CANCEL = 64.0 * np.finfo(float).eps
 # surrogate-constraint window of the dual step, and relative objective
 # change that ends the outer loop; the start and every iterate are gated on
-# the shared feasibility slack FEAS_SLACK of their constraint margins
+# the shared verdict model.feasible
 TOL = 1e-6
 MAX_ITER = 500
 
@@ -286,10 +286,9 @@ def bmm_solve(q: QuadraticForms, d_init: np.ndarray) -> BmmResult:
     accepted iterates is nonincreasing by construction.
     """
     d = _require_unit_modulus(d_init, "starting point")
-    violation = worst_margin(q.constraint_margins(d))
-    if violation > FEAS_SLACK:
-        raise InfeasibleStart(
-            f"starting point violates constraints by {violation:.3e} (relative)")
+    margins = q.constraint_margins(d)
+    if not feasible(margins):
+        raise InfeasibleStart(f"starting point fails the feasibility measure: {margins}")
     y = np.zeros(q.active.size + 1)
     obj = q.objective(d)
     converged = False
@@ -299,7 +298,7 @@ def bmm_solve(q: QuadraticForms, d_init: np.ndarray) -> BmmResult:
         y = dual_bisection(ms, y)
         candidate = primal_step(ms, y)
         cand_obj = q.objective(candidate)
-        if cand_obj > obj or worst_margin(q.constraint_margins(candidate)) > FEAS_SLACK:
+        if not cand_obj <= obj or not feasible(q.constraint_margins(candidate)):
             converged = True  # stalled at numerical resolution
             break
         d, prev, obj = candidate, obj, cand_obj

@@ -30,7 +30,6 @@ from .bb_solver import InfeasibleSubproblem, SolverError, solve_bb, update_u
 from .channel import ChannelSet
 from .fbl import allocate_blocklengths, solve_gamma_threshold
 from .model import (
-    CAP_RTOL,
     FEAS_SLACK,
     NATS_PER_BIT,
     HybridPrecoder,
@@ -38,10 +37,11 @@ from .model import (
     SystemConfig,
     constraint_margins,
     fbl_rate,
+    feasible,
     rbe,
     shannon_rate,
     sinr,
-    worst_margin,
+    within_cap,
 )
 from .numerics import Rng, phase_project
 from .quadratics import QuadraticForms
@@ -176,16 +176,11 @@ def _gamma_thresholds(cfg: SystemConfig, rate: float, betas: np.ndarray,
     return gammas
 
 
-def _is_feasible(margins) -> bool:
-    """Whether (SINR shortfalls, power excess) all sit within FEAS_SLACK."""
-    return worst_margin(margins) <= FEAS_SLACK
-
-
 def _rf_step(q: QuadraticForms, d_start: np.ndarray, opts: SolveOptions):
     """One RF-precoder update; returns the new d or None on infeasibility."""
     if opts.rf_method == "bmm":
         d_feas = d_start
-        if not _is_feasible(q.constraint_margins(d_feas)):
+        if not feasible(q.constraint_margins(d_feas)):
             # the handoff must clear the majorization solver's feasibility
             # gate, so the repair is asked for a squared-hinge sum whose
             # per-constraint residuals sit safely inside it
@@ -221,10 +216,13 @@ def inner_bcd(
     result, not an exception, because the outer layer consumes it as a
     bisection verdict. The thresholds default to an even blocklength split.
 
-    An RF step may leave the SINR cones a hair short (EPMO's verdict is
-    looser than FEAS_SLACK), and the cone program is then empty. If the
-    incoming (F_rf, F_bb) pair met the shared measure, the loop ends on that
-    pair instead of rejecting the probe; otherwise the probe is rejected.
+    The loop carries one verdict, whether the incumbent (F_rf, F_bb) pair is
+    `model.feasible`: measured at entry, and true after every baseband step
+    that succeeds (the cone solver returns only feasible points). An RF step
+    may leave the SINR cones a hair short (EPMO's verdict is looser than
+    FEAS_SLACK), and the cone program is then empty. If the incumbent pair
+    is feasible, the loop ends on it instead of rejecting the probe;
+    otherwise the probe is rejected.
 
     With no SINR threshold and a sensing reference within the budget, the
     cone program's optimum at any RF stage is the least-squares baseband,
@@ -243,41 +241,39 @@ def inner_bcd(
     u = init.u.copy()
     hybrid = opts.rf_method != "fdb"
     eliminated = (hybrid and not np.any(gammas > 0)
-                  and float(np.linalg.norm(rs.f_r) ** 2) <= cfg.p_max * (1.0 + CAP_RTOL))
+                  and within_cap(float(np.linalg.norm(rs.f_r) ** 2), cfg.p_max))
     trace: List[float] = []
     prev = np.inf
 
     # entry repair: a start that violates the SINR thresholds would send the
     # RF stage on a doomed penalty ramp; the cone solver restores (or
     # refutes) baseband feasibility for the incoming RF stage much faster
-    if not _is_feasible(constraint_margins(f_rf @ f_bb, ch.h, gammas,
-                                           cfg.noise, cfg.p_max)):
+    pair_ok = feasible(constraint_margins(f_rf @ f_bb, ch.h, gammas, cfg.noise, cfg.p_max))
+    if not pair_ok:
         repaired = _bb_step(f_rf, f_bb, u, ch, rs, gammas, cfg)
         if repaired is not None:
-            f_bb = repaired
+            f_bb, pair_ok = repaired, True
 
     for iteration in range(opts.max_bcd):
-        incoming_ok = False
+        f_rf_in = f_rf
         if eliminated:
             f_rf = fit_rf_stage(f_rf, rs.f_r)
         elif hybrid:
             q = QuadraticForms(f_bb, u, ch.h, rs.f_r, gammas, cfg.noise, cfg.p_max)
             d = phase_project(q.vec(f_rf))
             d_new = _rf_step(q, d, opts)
-            incoming_ok = _is_feasible(q.constraint_margins(d))
-            f_rf_in = f_rf
             if d_new is None:
-                # a feasible incoming stage stays the incumbent
-                if not incoming_ok:
+                # a feasible incumbent stage stays
+                if not pair_ok:
                     return InnerResult(False, None, np.inf, trace, "RF stage infeasible")
-            elif not incoming_ok or q.objective(d_new) <= q.objective(d):
+            elif not pair_ok or q.objective(d_new) <= q.objective(d):
                 f_rf = q.mat(d_new)
 
         new_bb = _bb_step(f_rf, f_bb, u, ch, rs, gammas, cfg)
         if new_bb is not None:
-            f_bb = new_bb
-        elif incoming_ok:
-            f_rf = f_rf_in  # no interior at the RF step's output: end on the incoming pair
+            f_bb, pair_ok = new_bb, True
+        elif pair_ok:
+            f_rf = f_rf_in  # no new baseband: end on the feasible incumbent
         else:
             return InnerResult(False, None, np.inf, trace, "baseband stage infeasible")
         u = update_u(f_rf, f_bb, rs.f_r)
@@ -299,14 +295,14 @@ def _bb_step(f_rf, f_bb, u, ch, rs, gammas, cfg):
 
     Returns None when the cones are empty, and also when the solver cannot
     certify its point (SolverError): either way the BCD has no new baseband
-    to take, and ends on its incoming pair or rejects the probe.
+    to take, and ends on its feasible incumbent or rejects the probe.
     """
     try:
         sol = solve_bb(f_rf, ch.h, rs.f_r @ u, gammas, cfg.p_max, cfg.noise, f_ref=f_bb)
     except (InfeasibleSubproblem, SolverError):
         return None
     current = rbe(HybridPrecoder(f_rf=f_rf, f_bb=f_bb, u=u), rs)
-    if sol.objective <= current or not _is_feasible(
+    if sol.objective <= current or not feasible(
             constraint_margins(f_rf @ f_bb, ch.h, gammas, cfg.noise, cfg.p_max)):
         return sol.f_bb
     return f_bb
@@ -328,9 +324,8 @@ def probe_rate(rate, cfg, ch, rs, init, opts, incumbent_beta):
     if not inner.feasible:
         return None, inner
     pc = inner.precoder
-    if inner.rbe > cfg.e_max * (1.0 + CAP_RTOL):
-        return None, inner
-    if pc.transmit_power() > cfg.p_max * (1.0 + CAP_RTOL):
+    if not (within_cap(inner.rbe, cfg.e_max)
+            and within_cap(pc.transmit_power(), cfg.p_max)):
         return None, inner
     if opts.rate_mode == "ibl":
         return incumbent_beta.copy(), inner
@@ -411,18 +406,18 @@ def validate_point(cfg: SystemConfig, ch: ChannelSet, rs: RadarSpec,
         return ["point is marked infeasible"]
     pc = point.precoder
     hybrid = not point.scheme.endswith("fdb")
-    if hybrid and np.max(np.abs(np.abs(pc.f_rf) - 1.0)) > 1e-10:
+    if hybrid and not np.max(np.abs(np.abs(pc.f_rf) - 1.0)) <= 1e-10:
         failures.append("RF stage entries are not unit modulus")
     gram = pc.u @ pc.u.conj().T
-    if np.max(np.abs(gram - np.eye(pc.u.shape[0]))) > 1e-10:
+    if not np.max(np.abs(gram - np.eye(pc.u.shape[0]))) <= 1e-10:
         failures.append("auxiliary matrix rows are not orthonormal")
-    if pc.transmit_power() > cfg.p_max * (1.0 + CAP_RTOL):
+    if not within_cap(pc.transmit_power(), cfg.p_max):
         failures.append(
             f"power {pc.transmit_power():.9g} exceeds budget {cfg.p_max:.9g}")
     error = rbe(pc, rs)
-    if error > cfg.e_max * (1.0 + CAP_RTOL):
+    if not within_cap(error, cfg.e_max):
         failures.append(f"beamforming error {error:.9g} exceeds cap {cfg.e_max:.9g}")
-    if abs(error - point.rbe) > 1e-6 * max(1.0, error):
+    if not abs(error - point.rbe) <= 1e-6 * max(1.0, error):
         failures.append("recorded beamforming error does not match the precoder")
     if point.beta is None or int(np.sum(point.beta)) != cfg.frame_budget:
         failures.append("blocklengths do not sum to the frame budget")
@@ -434,7 +429,7 @@ def validate_point(cfg: SystemConfig, ch: ChannelSet, rs: RadarSpec,
         for m in range(cfg.n_cu):
             achieved = (float(shannon_rate(gam[m])) if ibl else
                         fbl_rate(float(gam[m]), int(point.beta[m]), cfg.eps[m]))
-            if achieved < cfg.eta[m] * point.rate_nats - 1e-6:
+            if not achieved >= cfg.eta[m] * point.rate_nats - 1e-6:
                 kind = "Shannon" if ibl else "short-packet"
                 failures.append(f"user {m} {kind} rate {achieved:.9g} below its "
                                 f"share {cfg.eta[m] * point.rate_nats:.9g}")

@@ -342,6 +342,15 @@ class TestHybridPrecoderValidate:
         pc.f_bb = pc.f_bb / np.linalg.norm(pc.effective()) * 2.0
         assert any("exceeds budget" in f for f in self.failures(ch, pc, rs))
 
+    def test_rejects_nan_precoder(self):
+        # every check fails a NaN, so a NaN point cannot pass them all
+        gen = Rng(14).generator()
+        ch, pc, rs = random_instance(gen)
+        pc.f_bb = np.full_like(pc.f_bb, np.nan)
+        failures = self.failures(ch, pc, rs)
+        for what in ("exceeds budget", "exceeds cap", "does not match", "below its share"):
+            assert any(what in f for f in failures), what
+
     def test_small_budget_and_cap_checked_relatively(self):
         # 1.9x a budget of 1e-8 W, and 1.9x a sensing cap of 1e-8: an
         # absolute slack of 1e-8 would accept both

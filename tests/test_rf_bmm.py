@@ -3,7 +3,7 @@ import pytest
 
 from isac_pareto import rf_bmm, rf_epmo, tlbs
 from isac_pareto.channel import ArrayGeometry, ChannelSet
-from isac_pareto.model import FEAS_SLACK, ideal_radar_precoder, worst_margin
+from isac_pareto.model import FEAS_SLACK, feasible, ideal_radar_precoder
 from isac_pareto.numerics import Rng, fast_unit, phase_project
 from isac_pareto.quadratics import QuadraticForms
 from isac_pareto.rf_bmm import (
@@ -526,10 +526,10 @@ class TestRfStepRepair:
         gen = Rng(seed).generator()
         q, _, _ = make_instance(gen, gamma=np.full(2, 2.0))
         d0 = random_unit_modulus(gen, q.d_dim)
-        assert worst_margin(q.constraint_margins(d0)) > FEAS_SLACK
+        assert not feasible(q.constraint_margins(d0))
         d = _rf_step(q, d0, SolveOptions(rf_method="bmm"))
         # the repair is asked for residuals well inside BMM's own gate
         assert repairs == [((0.5 * FEAS_SLACK) ** 2, True)]
         assert d is not None
         assert np.max(np.abs(np.abs(d) - 1.0)) < 1e-14
-        assert worst_margin(q.constraint_margins(d)) <= FEAS_SLACK
+        assert feasible(q.constraint_margins(d))

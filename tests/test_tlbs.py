@@ -11,14 +11,13 @@ from isac_pareto import rf_epmo, tlbs
 from isac_pareto.bb_solver import InfeasibleSubproblem, SolverError
 from isac_pareto.channel import generate_channels
 from isac_pareto.model import (
-    FEAS_SLACK,
     SystemConfig,
     constraint_margins,
     fbl_rate,
+    feasible,
     ideal_radar_precoder,
     rbe,
     sinr,
-    worst_margin,
 )
 from isac_pareto.numerics import Rng, phase_project
 from isac_pareto.tlbs import (
@@ -227,33 +226,51 @@ class TestInnerBcd:
         gammas = tlbs._gamma_thresholds(cfg, 5.79, np.array([cfg.frame_budget]), "fbl")
         margins = constraint_margins(res.precoder.effective(), ch.h, gammas,
                                      cfg.noise, cfg.p_max)
-        assert worst_margin(margins) <= FEAS_SLACK
+        assert feasible(margins)
 
     def test_uncertified_baseband_solve_ends_the_loop_without_raising(self, monkeypatch):
         # a cone solve that cannot certify its point (SolverError) is no
         # baseband step, like an empty cone program: the BCD ends on its
-        # incoming pair or rejects the probe, and tlbs_solve goes on
-        calls = []
+        # feasible incumbent pair or rejects the probe, and tlbs_solve goes
+        # on. In fdb mode the incumbent is the pair the entry repair (the
+        # first solve) made feasible, so the loop ends after one pass
         solve_bb = tlbs.solve_bb
-
-        def fails_second(*args, **kwargs):
-            calls.append(1)
-            if len(calls) == 2:
-                raise SolverError("stationarity residual above KKT_TOL")
-            return solve_bb(*args, **kwargs)
-
-        monkeypatch.setattr(tlbs, "solve_bb", fails_second)
         cfg, ch, rs = scenario()
-        init = init_precoder(cfg, ch, rs, Rng(5), "epmo")
-        gammas = np.full(2, 1e-3)
-        res = inner_bcd(1.0, cfg, ch, rs, init, SolveOptions(rf_method="epmo", max_bcd=3),
-                        gammas=gammas)
-        assert isinstance(res, InnerResult)
-        # the second pass's RF stage met the measure, so the loop ends on it
-        assert len(calls) == 2 and res.feasible and len(res.trace) == 2
-        margins = constraint_margins(res.precoder.effective(), ch.h, gammas,
-                                     cfg.noise, cfg.p_max)
-        assert worst_margin(margins) <= FEAS_SLACK
+        for method, gamma, passes in (("epmo", 1e-3, 2), ("fdb", 30.0, 1)):
+            calls = []
+
+            def fails_second(*args, **kwargs):
+                calls.append(1)
+                if len(calls) == 2:
+                    raise SolverError("stationarity residual above KKT_TOL")
+                return solve_bb(*args, **kwargs)
+
+            monkeypatch.setattr(tlbs, "solve_bb", fails_second)
+            init = init_precoder(cfg, ch, rs, Rng(5), method)
+            gammas = np.full(2, gamma)
+            res = inner_bcd(1.0, cfg, ch, rs, init, SolveOptions(rf_method=method, max_bcd=3),
+                            gammas=gammas)
+            assert isinstance(res, InnerResult)
+            assert len(calls) == 2 and res.feasible and len(res.trace) == passes
+            margins = constraint_margins(res.precoder.effective(), ch.h, gammas,
+                                         cfg.noise, cfg.p_max)
+            assert feasible(margins)
+
+    def test_baseband_step_replaces_an_incumbent_over_budget(self):
+        # an incumbent 5e-7 over the budget (50 times CAP_RTOL) fits the 1 W
+        # reference better than the cone solution, but it is not feasible,
+        # so the step takes the cone solution, which the probe can accept
+        cfg, ch, _ = scenario(p_max=0.05)
+        rs = ideal_radar_precoder(cfg.target_angles_deg, cfg.geometry, power=1.0)
+        init = init_precoder(cfg, ch, rs, Rng(0))
+        gammas = np.ones(2)
+        first = tlbs._bb_step(init.f_rf, init.f_bb, init.u, ch, rs, gammas, cfg)
+        over = first * (1.0 + 2.5e-7)
+        out = tlbs._bb_step(init.f_rf, over, init.u, ch, rs, gammas, cfg)
+        assert constraint_margins(init.f_rf @ over, ch.h, gammas, cfg.noise,
+                                  cfg.p_max)[1] == pytest.approx(5e-7, rel=1e-3)
+        margins = constraint_margins(init.f_rf @ out, ch.h, gammas, cfg.noise, cfg.p_max)
+        assert feasible(margins) and margins[1] <= 0.0
 
     def test_fixed_point_rerun(self):
         cfg, ch, rs = scenario(seed=2)

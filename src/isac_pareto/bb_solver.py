@@ -32,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import constraint_margins, feasible
+from .model import constraint_margins, feasible, fit_error
 
 __all__ = [
     "SocpSolution",
@@ -256,7 +256,8 @@ def solve_bb(rf, h, target, gammas, p_max, noise,
     therefore lies inside the rotated cones and the solution is never worse
     than it; the next call, seeded with this solution, realigns the rim.
 
-    Raises ValueError on a nonpositive budget or noise, InfeasibleSubproblem
+    Raises ValueError unless budget and noise are positive and every
+    threshold nonnegative (a NaN fails each test), InfeasibleSubproblem
     when the slack-minimization phase certifies an empty interior, and
     SolverError if Newton stalls above KKT_TOL or its point is not
     `model.feasible`.
@@ -266,8 +267,8 @@ def solve_bb(rf, h, target, gammas, p_max, noise,
     target = np.asarray(target, dtype=np.complex128)
     gammas = np.asarray(gammas, dtype=float)
     p_max, noise = float(p_max), float(noise)
-    if p_max <= 0 or noise <= 0:
-        raise ValueError("power budget and noise must be positive")
+    if not (p_max > 0 and noise > 0 and np.all(gammas >= 0)):
+        raise ValueError("power budget and noise must be positive, thresholds nonnegative")
     h_eff_all = h.conj() @ rf   # row m is h_m^H rf
     active = np.flatnonzero(gammas > 0)
     n_rf = rf.shape[1]
@@ -320,7 +321,7 @@ def solve_bb(rf, h, target, gammas, p_max, noise,
     margins = constraint_margins(eff, h, gammas, noise, p_max)
     if not feasible(margins):
         raise SolverError(f"returned point fails the feasibility measure: {margins}")
-    return SocpSolution(f_bb=f_bb, objective=float(np.linalg.norm(eff - target) ** 2))
+    return SocpSolution(f_bb=f_bb, objective=fit_error(eff, target))
 
 
 def _constraint_terms(prog: _BarrierProgram, x: np.ndarray):

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .model import dispersion
+from .model import dispersion, shannon_rate
 from .numerics import bracketed_root, inv_q
 
 __all__ = [
@@ -35,9 +35,9 @@ def solve_gamma_threshold(target: float, beta: int, eps: float) -> float:
     delta <= 1; Gamma = exp(target + k/2) - 1, so
     exp(target) - 1 <= Gamma < exp(target + tau) - 1.
     """
-    if target < 0:
+    if not target >= 0:
         raise ValueError("rate target must be nonnegative")
-    if beta < 1:
+    if not beta >= 1:
         raise ValueError("blocklength must be >= 1")
     if not 0.0 < eps < 0.5:
         raise ValueError("error probability must lie in (0, 1/2)")
@@ -63,11 +63,11 @@ def min_blocklength(gamma: float, target: float, eps: float) -> float:
     target is vacuous and returns 0; a target at or above the Shannon rate
     ln(1+gamma) needs an infinite blocklength and returns math.inf.
     """
-    if gamma < 0:
+    if not gamma >= 0:
         raise ValueError("SINR must be nonnegative")
     if target <= 0.0:
         return 0.0
-    headroom = math.log1p(gamma) - target
+    headroom = float(shannon_rate(gamma)) - target
     if headroom <= 0.0:
         return math.inf
     return (math.sqrt(dispersion(gamma)) * inv_q(eps) / headroom) ** 2

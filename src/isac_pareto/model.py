@@ -5,7 +5,9 @@ frame budget, reliability targets) and the metrics every solver and
 experiment is judged by: per-user SINR, the SINR/power constraint margins
 every solver layer checks feasibility with, the short-packet achievable
 rate with its dispersion penalty, and the radar beamforming error against
-an ideal steering precoder.
+an ideal steering precoder. Every layer takes cross gains, power and fit
+error from the kernels `gains`, `power` and `fit_error`, so each quantity
+has the same bits wherever it is read.
 
 Rates are handled in nats throughout; conversion to bits happens only at
 the reporting boundary.
@@ -28,6 +30,9 @@ __all__ = [
     "RadarSpec",
     "ideal_radar_precoder",
     "sinr",
+    "gains",
+    "power",
+    "fit_error",
     "effective_sinr",
     "constraint_margins",
     "feasible",
@@ -151,7 +156,7 @@ class HybridPrecoder:
         return self.f_rf @ self.f_bb
 
     def transmit_power(self) -> float:
-        return float(np.linalg.norm(self.effective()) ** 2)
+        return power(self.effective())
 
 
 @dataclass(frozen=True)
@@ -187,13 +192,29 @@ def ideal_radar_precoder(angles_deg: Sequence[float], geom: ArrayGeometry,
     return RadarSpec(f_r=f_r, target_angles_deg=angles)
 
 
+def gains(h_conj: np.ndarray, eff: np.ndarray):
+    """(t = H^H eff, |t|^2, row totals of |t|^2) of a composite precoder,
+    h_conj holding the conjugated user channels as rows: t[m, n] = h_m^H f_n."""
+    t = h_conj @ eff
+    powers = np.abs(t) ** 2
+    return t, powers, np.add.reduce(powers, axis=1)  # powers.sum(axis=1), unwrapped
+
+
+def power(eff: np.ndarray) -> float:
+    """Squared Frobenius norm ||eff||_F^2, the transmit power of a precoder."""
+    return float(np.vdot(eff, eff).real)
+
+
+def fit_error(eff: np.ndarray, ref: np.ndarray) -> float:
+    """Squared Frobenius gap ||eff - ref||_F^2."""
+    return power(eff - ref)
+
+
 def effective_sinr(eff: np.ndarray, h: np.ndarray, noise: float) -> np.ndarray:
     """Per-user SINR of the composite precoder eff = F_rf F_bb, shape (N_t, M)."""
-    t = h.conj() @ eff  # t[m, n] = h_m^H F f_n
-    powers = np.abs(t) ** 2
+    _, powers, totals = gains(h.conj(), eff)
     signal = np.diag(powers)
-    interference = powers.sum(axis=1) - signal
-    return signal / (interference + noise)
+    return signal / (totals - signal + noise)
 
 
 def sinr(ch: ChannelSet, pc: HybridPrecoder, noise: float) -> np.ndarray:
@@ -214,7 +235,7 @@ def constraint_margins(eff: np.ndarray, h: np.ndarray, gamma: np.ndarray,
     noise-normalized residuals instead, each at least as large as the
     matching margin here.
     """
-    power_excess = float(np.real(np.vdot(eff, eff))) / p_max - 1.0
+    power_excess = power(eff) / p_max - 1.0
     active = np.flatnonzero(gamma > 0)
     if active.size == 0:
         return np.zeros(0), power_excess
@@ -238,7 +259,7 @@ def within_cap(value: float, cap: float) -> bool:
 def dispersion(gamma: float):
     """Channel dispersion 1 - 1/(1+gamma)^2 of the normal approximation."""
     gamma = np.asarray(gamma, dtype=float)
-    if np.any(gamma < 0):
+    if not np.all(gamma >= 0):
         raise ValueError("SINR must be nonnegative")
     out = 1.0 - 1.0 / (1.0 + gamma) ** 2
     return float(out) if out.ndim == 0 else out
@@ -257,9 +278,9 @@ def fbl_rate(gamma: float, beta, eps: float):
     """
     gamma = np.asarray(gamma, dtype=float)
     beta_arr = np.asarray(beta, dtype=float)
-    if np.any(gamma < 0):
+    if not np.all(gamma >= 0):
         raise ValueError("SINR must be nonnegative")
-    if np.any(beta_arr < 1):
+    if not np.all(beta_arr >= 1):
         raise ValueError("blocklength must be >= 1")
     penalty = np.sqrt(dispersion(gamma) / beta_arr) * inv_q(eps)
     out = shannon_rate(gamma) - penalty
@@ -268,4 +289,4 @@ def fbl_rate(gamma: float, beta, eps: float):
 
 def rbe(pc: HybridPrecoder, rs: RadarSpec) -> float:
     """Radar beamforming error: squared Frobenius gap to the ideal precoder."""
-    return float(np.linalg.norm(pc.effective() - rs.f_r @ pc.u) ** 2)
+    return fit_error(pc.effective(), rs.f_r @ pc.u)

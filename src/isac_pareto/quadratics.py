@@ -6,11 +6,10 @@ d = vec(F_rf). The Kronecker-structured matrices are kept implicit:
 everything is evaluated through the (N_t x N_RF) factors in
 O(N_t * N_RF * M).
 
-The per-instance constants of the hot paths (the conjugated channels and
-baseband stage, F_bb^H, the active thresholds and the per-user Delta_m
-weights) are built once in the constructor, as the same arrays with the
-same memory layouts the inline expressions produced, so every product
-returns the same bits.
+The per-instance constants of the hot paths are built once in the
+constructor. Every evaluation starts from the composite precoder F_rf F_bb
+and takes its gains, power and RBE from the `model` kernels, so the RF
+solvers and the closed-form metrics read the same bits for one precoder.
 
 Feasibility is judged by the scale-free margins of
 `model.constraint_margins`. The penalty and majorization solvers instead
@@ -24,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import constraint_margins
+from .model import constraint_margins, fit_error, gains, power
 
 __all__ = ["QuadraticForms"]
 
@@ -50,7 +49,7 @@ class QuadraticForms:
         self.d_dim = self.n_tx * self.n_rf
         if self.h.shape[0] != self.m_users or self.gamma.size != self.m_users:
             raise ValueError("channel / threshold count must match baseband columns")
-        if np.any(self.gamma < 0):
+        if not np.all(self.gamma >= 0):
             raise ValueError("thresholds must be nonnegative")
         self.active = np.flatnonzero(self.gamma > 0)
         self.gamma_active = self.gamma[self.active]
@@ -69,15 +68,14 @@ class QuadraticForms:
             self._delta_weights[m] = weights
 
         self.f_r_u = self.f_r @ self.u                      # (N_t, M)
-        self.t_gram = self.f_bb @ self.f_bb_h               # T = F_bb F_bb^H
         self.a_r = self.vec(self.f_r_u @ self.f_bb_h)
-        self.e_r = float(np.linalg.norm(self.f_r_u) ** 2)
-        bb_energy = float(np.linalg.norm(self.f_bb) ** 2)
+        self.e_r = power(self.f_r_u)
+        bb_energy = power(self.f_bb)
         self.c_r = self.n_tx * bb_energy                    # tr(Xi_r)
         self.c_p = self.c_r                                 # tr(Omega_p) coincides
         col_power = np.sum(np.abs(self.f_bb) ** 2, axis=0)  # ||f_n||^2
         h_power = np.sum(np.abs(self.h) ** 2, axis=1)       # ||h_m||^2
-        self.c_m = h_power * (col_power.sum() - col_power)  # tr(sum_{n!=m} Upsilon)
+        self.c_m = h_power * (bb_energy - col_power)        # tr(sum_{n!=m} Upsilon)
 
     # ----- vec / mat conventions (column stacking) -----
 
@@ -90,12 +88,8 @@ class QuadraticForms:
     # ----- factored evaluation (hot paths) -----
 
     def objective(self, d: np.ndarray) -> float:
-        """RBE as a function of d; nonnegative by construction."""
-        return self._rbe(self.mat(d) @ self.f_bb)
-
-    def _rbe(self, eff: np.ndarray) -> float:
-        diff = eff - self.f_r_u
-        return float(np.vdot(diff, diff).real)
+        """RBE as a function of d: `model.rbe` of the precoder d encodes."""
+        return fit_error(self.mat(d) @ self.f_bb, self.f_r_u)
 
     def constraint_margins(self, d: np.ndarray):
         """`model.constraint_margins` of the precoder encoded by d."""
@@ -108,16 +102,14 @@ class QuadraticForms:
         solver."""
         eff = self.mat(d) @ self.f_bb
         _, sinr_res, power_res = self.residuals(eff)
-        return self._rbe(eff), sinr_res, power_res
+        return fit_error(eff, self.f_r_u), sinr_res, power_res
 
     def residuals(self, eff: np.ndarray):
         """(cross gains t = H^H F_rf F_bb, normalized SINR residuals of the
         active users, normalized power residual) of the composite precoder
         eff; each residual is feasible iff <= 0."""
-        power_res = (float(np.vdot(eff, eff).real) - self.p_max) / self.p_max
-        t = self.h_conj @ eff
-        powers = np.abs(t) ** 2
-        totals = np.add.reduce(powers, axis=1)  # powers.sum(axis=1), unwrapped
+        power_res = (power(eff) - self.p_max) / self.p_max
+        t, powers, totals = gains(self.h_conj, eff)
         sig = powers.take(self._own_gain)
         interference = totals.take(self.active) - sig
         sinr_res = (interference - sig / self.gamma_active
@@ -126,13 +118,10 @@ class QuadraticForms:
 
     # ----- factored matrix-vector products -----
 
-    def xi_dot(self, d: np.ndarray) -> np.ndarray:
-        """Xi_r @ d (identical to Omega_p @ d): vec(F_rf T)."""
-        return self.vec(self.mat(d) @ self.t_gram)
-
-    def delta_dot(self, d: np.ndarray, m: int) -> np.ndarray:
-        """Delta_m @ d through the rank-structured factors."""
-        return self.delta_from_gains(self.h_conj[m] @ self.mat(d) @ self.f_bb, m)
+    def xi_dot(self, eff: np.ndarray) -> np.ndarray:
+        """Xi_r @ d (= Omega_p @ d) as vec(eff F_bb^H), from the composite
+        precoder eff = F_rf F_bb that d encodes."""
+        return self.vec(eff @ self.f_bb_h)
 
     def delta_from_gains(self, t_m: np.ndarray, m: int) -> np.ndarray:
         """Delta_m @ d from user m's cross gains t_m = h_m^H F_rf F_bb; m

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import feasible
+from .model import feasible, power
 from .numerics import fast_unit, phase_project
 from .quadratics import QuadraticForms
 
@@ -107,8 +107,11 @@ def majorize(q: QuadraticForms, d_anchor: np.ndarray) -> MajorizerSet:
     d0 = _require_unit_modulus(d_anchor, "majorizer anchor")
     dim = q.d_dim
 
-    xi_d0 = q.xi_dot(d0)
-    quad0 = float(np.real(np.vdot(d0, xi_d0)))  # d0^H Xi d0 = ||F0 Fbb||^2
+    # d0^H Xi d0 is the anchor's power, d0^H Delta_m d0 / noise its SINR residual - 1
+    eff = q.mat(d0) @ q.f_bb
+    t, sinr_res, _ = q.residuals(eff)
+    quad0 = power(eff)
+    xi_d0 = q.xi_dot(eff)
     u_obj = xi_d0 - q.c_r * d0 - q.a_r
     k_obj = -quad0 + 2.0 * dim * q.c_r + q.e_r
 
@@ -116,10 +119,9 @@ def majorize(q: QuadraticForms, d_anchor: np.ndarray) -> MajorizerSet:
     u_c = np.empty((n_act + 1, dim), dtype=np.complex128)
     k_c = np.empty(n_act + 1)
     for k, m in enumerate(q.active):
-        delta_d0 = q.delta_dot(d0, m) / q.noise
         c_hat = q.c_m[m] / q.noise
-        u_c[k] = delta_d0 - c_hat * d0
-        k_c[k] = -float(np.real(np.vdot(d0, delta_d0))) + 2.0 * dim * c_hat + 1.0
+        u_c[k] = q.delta_from_gains(t[m], m) / q.noise - c_hat * d0
+        k_c[k] = -(sinr_res[k] - 1.0) + 2.0 * dim * c_hat + 1.0
 
     c_p_hat = q.c_p / q.p_max
     u_c[-1] = xi_d0 / q.p_max - c_p_hat * d0

@@ -38,6 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .model import fit_error, power
 from .numerics import fast_unit, phase_project
 from .quadratics import QuadraticForms
 
@@ -124,7 +125,8 @@ def _penalty_parts(q: QuadraticForms, d: np.ndarray, mu: float):
     precoder F_rf F_bb, its cross gains and its residuals."""
     eff = q.mat(d) @ q.f_bb
     t, sinr_res, power_res = q.residuals(eff)
-    return _penalty(q._rbe(eff), sinr_res, power_res, mu), (eff, t, sinr_res, power_res)
+    value = _penalty(fit_error(eff, q.f_r_u), sinr_res, power_res, mu)
+    return value, (eff, t, sinr_res, power_res)
 
 
 def euclidean_gradient(q: QuadraticForms, d: np.ndarray, mu: float,
@@ -137,7 +139,7 @@ def euclidean_gradient(q: QuadraticForms, d: np.ndarray, mu: float,
     the same d) supplies together with the residuals when given.
     """
     eff = q.mat(d) @ q.f_bb if parts is None else parts[0]
-    xi_d = q.vec(eff @ q.f_bb_h)  # Xi @ d = vec(F (Fbb Fbb^H))
+    xi_d = q.xi_dot(eff)
     grad = 2.0 * (xi_d - q.a_r)
     if mu != 0.0:
         acc = np.zeros(grad.shape, grad.dtype)
@@ -217,12 +219,11 @@ def fit_rf_stage(f_rf: np.ndarray, f_r: np.ndarray) -> np.ndarray:
         return f_r - x @ b, b
 
     def value(d):
-        r, _ = residual(d)
-        return float(np.vdot(r, r).real)
+        return power(residual(d)[0])
 
     def value_grad(d):
         r, b = residual(d)
-        return float(np.vdot(r, r).real), (-2.0 * (r @ b.conj().T)).reshape(-1, order="F")
+        return power(r), (-2.0 * (r @ b.conj().T)).reshape(-1, order="F")
 
     d = phase_project(f_rf.reshape(-1, order="F"))
     return _rcg_minimize(value, value_grad, d, TOL_GRAD).reshape(n_tx, n_rf, order="F")

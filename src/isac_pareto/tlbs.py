@@ -38,6 +38,7 @@ from .model import (
     constraint_margins,
     fbl_rate,
     feasible,
+    power,
     rbe,
     shannon_rate,
     sinr,
@@ -241,7 +242,7 @@ def inner_bcd(
     u = init.u.copy()
     hybrid = opts.rf_method != "fdb"
     eliminated = (hybrid and not np.any(gammas > 0)
-                  and within_cap(float(np.linalg.norm(rs.f_r) ** 2), cfg.p_max))
+                  and within_cap(power(rs.f_r), cfg.p_max))
     trace: List[float] = []
     prev = np.inf
 

@@ -14,7 +14,7 @@ for _var in (
     "OMP_NUM_THREADS",
     "NUMEXPR_NUM_THREADS",
 ):
-    os.environ.setdefault(_var, "1")
+    os.environ[_var] = "1"
 
 import multiprocessing  # noqa: E402
 from concurrent.futures import ProcessPoolExecutor  # noqa: E402

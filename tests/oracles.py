@@ -122,8 +122,9 @@ def upsilon(q, n: int, m: int) -> np.ndarray:
 
 
 def xi_r(q) -> np.ndarray:
-    """Dense Xi_r = Omega_r^H Omega_r = T^T kron I."""
-    return np.kron(q.t_gram.T, np.eye(q.n_tx))
+    """Dense Xi_r = Omega_r^H Omega_r = T^T kron I with T = F_bb F_bb^H."""
+    t_gram = q.f_bb @ q.f_bb.conj().T
+    return np.kron(t_gram.T, np.eye(q.n_tx))
 
 
 def omega_p(q) -> np.ndarray:

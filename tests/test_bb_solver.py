@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
@@ -167,11 +169,19 @@ class TestSolveBB:
         assert np.all(np.isfinite(sol.f_bb))
         assert feasible(constraint_margins(f_rf @ sol.f_bb, h, gam, 0.1, 10.0))
 
-    @pytest.mark.parametrize("p_max, noise", [(0.0, 0.1), (10.0, 0.0)])
+    @pytest.mark.parametrize("p_max, noise", [(0.0, 0.1), (10.0, 0.0),
+                                              (math.nan, 0.1), (10.0, math.nan)])
     def test_nonpositive_budget_or_noise_rejected(self, p_max, noise):
         f_rf, h, f_r, u, target = make_data(Rng(99).generator())
         with pytest.raises(ValueError, match="must be positive"):
             solve_bb(f_rf, h, target, [0.5, 0.5], p_max=p_max, noise=noise)
+
+    @pytest.mark.parametrize("gammas", [[math.nan, 0.5], [-1.0, 0.5]])
+    def test_nan_or_negative_threshold_rejected(self, gammas):
+        # a NaN threshold must not drop its user's cone
+        f_rf, h, f_r, u, target = make_data(Rng(99).generator())
+        with pytest.raises(ValueError, match="nonnegative"):
+            solve_bb(f_rf, h, target, gammas, p_max=10.0, noise=0.1)
 
 
 def random_program(gen, n, n_cones):

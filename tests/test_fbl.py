@@ -73,10 +73,20 @@ class TestGammaThreshold:
         with pytest.raises(ValueError):
             solve_gamma_threshold(-1.0, 128, 1e-5)
 
+    @pytest.mark.parametrize("target, beta", [(math.nan, 128), (1.0, math.nan)])
+    def test_nan_target_or_blocklength_rejected(self, target, beta):
+        with pytest.raises(ValueError):
+            solve_gamma_threshold(target, beta, 1e-5)
+
 
 class TestMinBlocklength:
     def test_vacuous_at_zero(self):
         assert min_blocklength(0.0, 0.0, 1e-5) == 0.0
+
+    @pytest.mark.parametrize("gamma", [-0.5, math.nan])
+    def test_negative_or_nan_sinr_rejected(self, gamma):
+        with pytest.raises(ValueError, match="nonnegative"):
+            min_blocklength(gamma, 1.0, 1e-5)
 
     def test_inverts_rate_example(self):
         target = fbl_rate(10.0, 128, 1e-5)

@@ -206,6 +206,18 @@ class TestRates:
         with pytest.raises(ValueError):
             dispersion(-0.5)
 
+    @pytest.mark.parametrize("call", [
+        lambda: dispersion(np.nan),
+        lambda: dispersion([1.0, np.nan]),
+        lambda: fbl_rate(np.nan, 64, 1e-5),
+        lambda: fbl_rate(1.0, np.nan, 1e-5),
+        lambda: fbl_rate(1.0, [64, np.nan], 1e-5),
+    ], ids=["dispersion", "dispersion-array", "fbl-sinr", "fbl-blocklength",
+            "fbl-blocklength-array"])
+    def test_nan_sinr_or_blocklength_rejected(self, call):
+        with pytest.raises(ValueError):
+            call()
+
     def test_zero_sinr_rate(self):
         assert fbl_rate(0.0, 128, 1e-5) == 0.0
 

@@ -51,9 +51,11 @@ class TestInvQ:
         with pytest.raises(ValueError):
             inv_q(p)
 
-    def test_bit_exact_against_scipy_ndtri(self):
-        # inv_q ports Cephes ndtri so that the package need not import
-        # scipy; scipy's ndtri stays the oracle, compared by the bits
+    def test_within_eight_ulp_of_scipy_ndtri(self):
+        # inv_q takes the quantile from the standard library so that the
+        # package need not import scipy; scipy's ndtri stays the accuracy
+        # oracle, on both tails, the edges of Cephes' branches and every
+        # configured error probability
         gen = Rng(17).generator()
         lower = 10.0 ** gen.uniform(-300.0, math.log10(0.5), 3000)
         upper = 1.0 - 10.0 ** gen.uniform(-16.0, math.log10(0.5), 3000)
@@ -70,8 +72,8 @@ class TestInvQ:
         ps = np.concatenate([lower, upper, edges, configured])
         got = np.array([inv_q(float(p)) for p in ps])
         want = -ndtri(ps)
-        mismatch = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
-        assert [(ps[i], got[i].hex(), want[i].hex()) for i in mismatch[:5]] == []
+        far = np.flatnonzero(np.abs(got - want) > 8.0 * np.spacing(np.abs(want)))
+        assert [(ps[i], got[i].hex(), want[i].hex()) for i in far[:5]] == []
 
 
 class TestBracketedRoot:

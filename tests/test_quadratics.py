@@ -67,6 +67,14 @@ class TestBuild:
         with pytest.raises(ValueError):
             QuadraticForms(q.f_bb, q.u, ch.h, rs.f_r, [1.0], q.noise, q.p_max)
 
+    @pytest.mark.parametrize("gamma", [[np.nan, 1.0], [-1.0, 1.0]])
+    def test_nan_or_negative_threshold_rejected(self, gamma):
+        # a NaN threshold must not mark its user inactive
+        gen = Rng(33).generator()
+        q, ch, rs = make_instance(gen)
+        with pytest.raises(ValueError, match="nonnegative"):
+            QuadraticForms(q.f_bb, q.u, ch.h, rs.f_r, gamma, q.noise, q.p_max)
+
 
 class TestEvaluators:
     def test_objective_zero_at_exact_fit(self):
@@ -162,9 +170,12 @@ class TestStructure:
         gen = Rng(42).generator()
         q, _, _ = make_instance(gen)
         d = random_unit_modulus(gen, q.d_dim)
-        np.testing.assert_allclose(q.xi_dot(d), xi_r(q) @ d, atol=1e-10)
+        eff = q.mat(d) @ q.f_bb
+        np.testing.assert_allclose(q.xi_dot(eff), xi_r(q) @ d, atol=1e-10)
+        t = q.residuals(eff)[0]
         for m in range(2):
-            np.testing.assert_allclose(q.delta_dot(d, m), delta(q, m) @ d, atol=1e-10)
+            np.testing.assert_allclose(q.delta_from_gains(t[m], m), delta(q, m) @ d,
+                                       atol=1e-10)
 
     def test_trace_constants(self):
         gen = Rng(43).generator()

@@ -84,7 +84,7 @@ class TestMajorize:
         # check the algebra directly on a constructed anchor
         d0 = random_unit_modulus(gen, q.d_dim)
         ms = majorize(q, d0)
-        want = q.xi_dot(d0) - q.c_r * d0 - q.a_r
+        want = q.xi_dot(q.mat(d0) @ q.f_bb) - q.c_r * d0 - q.a_r
         np.testing.assert_allclose(ms.u_obj, want, atol=1e-12)
 
     def test_rejects_nonunit_anchor(self):
@@ -101,7 +101,7 @@ class TestPrimalStep:
         q, _, _ = make_instance(gen)
         d0 = random_unit_modulus(gen, q.d_dim)
         got = primal_step(majorize(q, d0), np.zeros(q.active.size + 1))
-        want = phase_project((q.c_r * d0 - q.xi_dot(d0)) + q.a_r)
+        want = phase_project((q.c_r * d0 - q.xi_dot(q.mat(d0) @ q.f_bb)) + q.a_r)
         np.testing.assert_array_equal(got, want)
 
     def test_identity_quadratic_projects_target(self):
@@ -203,7 +203,7 @@ class TestBmmSolve:
         d = d0
         trace = [q.objective(d)]
         for _ in range(result.iterations):
-            nxt = phase_project(q.c_r * d - q.xi_dot(d) + q.a_r)
+            nxt = phase_project(q.c_r * d - q.xi_dot(q.mat(d) @ q.f_bb) + q.a_r)
             if q.objective(nxt) > trace[-1]:
                 break
             d = nxt

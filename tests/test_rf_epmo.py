@@ -87,7 +87,7 @@ class TestEuclideanGradient:
         for _ in range(50):
             d = random_unit_modulus(gen, q.d_dim)
             if constraint_violation(q, d) == 0.0:
-                want = 2.0 * (q.xi_dot(d) - q.a_r)
+                want = 2.0 * (q.xi_dot(q.mat(d) @ q.f_bb) - q.a_r)
                 np.testing.assert_allclose(euclidean_gradient(q, d, 10.0), want, atol=1e-12)
                 return
         pytest.skip("no interior sample drawn")

@@ -8,11 +8,13 @@ import pytest
 
 import isac_pareto
 from isac_pareto import rf_epmo, tlbs
-from isac_pareto.bb_solver import InfeasibleSubproblem, SolverError
+from isac_pareto.bb_solver import InfeasibleSubproblem, SolverError, solve_bb
 from isac_pareto.channel import generate_channels
 from isac_pareto.model import (
+    HybridPrecoder,
     SystemConfig,
     constraint_margins,
+    effective_sinr,
     fbl_rate,
     feasible,
     ideal_radar_precoder,
@@ -20,6 +22,7 @@ from isac_pareto.model import (
     sinr,
 )
 from isac_pareto.numerics import Rng, phase_project
+from isac_pareto.quadratics import QuadraticForms
 from isac_pareto.tlbs import (
     InnerResult,
     ParetoPoint,
@@ -31,6 +34,7 @@ from isac_pareto.tlbs import (
     tlbs_solve,
     validate_point,
 )
+from oracles import random_row_orthonormal
 
 
 def small_cfg(**kwargs):
@@ -272,6 +276,25 @@ class TestInnerBcd:
         margins = constraint_margins(init.f_rf @ out, ch.h, gammas, cfg.noise, cfg.p_max)
         assert feasible(margins) and margins[1] <= 0.0
 
+    @pytest.mark.parametrize("seed", [0, 4])
+    def test_every_layer_reads_one_rbe(self, seed):
+        # the RF acceptance reads QuadraticForms.objective, the trace
+        # model.rbe and the baseband step solve_bb's objective: for one
+        # precoder they are the same double
+        cfg, ch, rs = scenario(seed=seed)
+        gen = Rng(77, seed).generator()
+        for _ in range(20):
+            f_rf = phase_project(np.exp(1j * gen.uniform(-np.pi, np.pi, (cfg.n_tx, cfg.n_rf))))
+            shape = (cfg.n_rf, cfg.n_cu)
+            f_bb = gen.normal(size=shape) + 1j * gen.normal(size=shape)
+            f_bb *= np.sqrt(0.5 * cfg.p_max) / np.linalg.norm(f_rf @ f_bb)
+            u = random_row_orthonormal(gen, cfg.n_tar, cfg.n_cu)
+            gammas = 0.5 * effective_sinr(f_rf @ f_bb, ch.h, cfg.noise)
+            q = QuadraticForms(f_bb, u, ch.h, rs.f_r, gammas, cfg.noise, cfg.p_max)
+            assert q.objective(q.vec(f_rf)) == rbe(HybridPrecoder(f_rf, f_bb, u), rs)
+            sol = solve_bb(f_rf, ch.h, rs.f_r @ u, gammas, cfg.p_max, cfg.noise, f_ref=f_bb)
+            assert sol.objective == rbe(HybridPrecoder(f_rf, sol.f_bb, u), rs)
+
     def test_fixed_point_rerun(self):
         cfg, ch, rs = scenario(seed=2)
         init = init_precoder(cfg, ch, rs, Rng(5), "epmo")
@@ -349,8 +372,8 @@ class TestSolveOptions:
 
 def test_import_loads_no_scipy_subpackage_but_special():
     # importing the solver stack stays cheap: scipy.special alone would add
-    # about 0.2 s to every fresh process, and numerics.inv_q runs a port of
-    # its ndtri instead, so no scipy module may load at all
+    # about 0.2 s to every fresh process, and numerics.inv_q takes the normal
+    # quantile from the standard library instead, so no scipy module may load
     code = ("import sys, isac_pareto.tlbs\n"
             "for name in sorted(sys.modules):\n"
             "    if name == 'scipy' or name.startswith('scipy.'):\n"

@@ -9,10 +9,15 @@ solve_bb takes that rotation from the incumbent precoder, so one cone
 program per baseband step suffices (see solve_bb for the argument).
 
 The variable count is tiny (two reals per baseband coefficient), so the
-program is solved in-repo by a log-barrier path-following Newton method: a
-slack-minimizing phase recovers a strictly feasible point, then the central
-path is followed with the barrier weight raised per stage until the duality
-gap bound is negligible. SINR cones are expressed in units of the root noise
+program is solved in-repo. The incumbent is tried first: the constraints
+nearly tight at it are taken as the active set, and one Newton polish of the
+KKT system from the incumbent either certifies the optimum (the program is
+convex, so a KKT point is optimal) or fails. Consecutive programs of one BCD
+run differ little, so the check passes for most of them. Otherwise a
+log-barrier path-following Newton method runs: a slack-minimizing phase
+recovers a strictly feasible point, then the central path is followed with
+the barrier weight raised per stage until the duality gap bound is
+negligible. SINR cones are expressed in units of the root noise
 power and the power ball in units of the root budget, which keeps every
 barrier term O(1). Newton centering evaluates each iterate's slacks once:
 the evaluation that passes a candidate's interior test also gives that
@@ -44,6 +49,7 @@ __all__ = [
 
 
 KKT_TOL = 1e-8  # stationarity residual a returned solution must reach
+ACTIVE_RSLACK = 1e-4  # relative slack below which a constraint counts as active
 
 
 class InfeasibleSubproblem(Exception):
@@ -256,6 +262,12 @@ def solve_bb(rf, h, target, gammas, p_max, noise,
     therefore lies inside the rotated cones and the solution is never worse
     than it; the next call, seeded with this solution, realigns the rim.
 
+    f_ref is tried first (`_certify_incumbent`): a KKT polish from it with
+    the constraints nearly tight there as the active set. A point that
+    reaches KKT_TOL, lies inside every cone on its convex nappe and is
+    `model.feasible` is returned at once. Otherwise phase one and the
+    barrier path solve the program as if that check had not run.
+
     Raises ValueError unless budget and noise are positive and every
     threshold nonnegative (a NaN fails each test), InfeasibleSubproblem
     when the slack-minimization phase certifies an empty interior, and
@@ -290,12 +302,25 @@ def solve_bb(rf, h, target, gammas, p_max, noise,
     cones = _build_cone_rows(h_eff_all, active, gammas, noise,
                              np.angle(gains[active, active]))
 
+    prog = _BarrierProgram(p_quad, q_lin, cones, p_ball)
+
+    def solution(x):
+        f_bb = _unlift(x, n_rf, m_users)
+        eff = rf @ f_bb
+        margins = constraint_margins(eff, h, gammas, noise, p_max)
+        return SocpSolution(f_bb=f_bb, objective=fit_error(eff, target)), margins
+
+    x_opt = _certify_incumbent(prog, _lift_vector(f_ref.reshape(-1, order="F")))
+    if x_opt is not None:
+        sol, margins = solution(x_opt)
+        if feasible(margins):
+            return sol
+
     ball = float(x_ls @ p_ball @ x_ls)
     x0 = x_ls if ball < 0.81 else x_ls * (0.9 / np.sqrt(max(ball, 1e-300)))
     if np.allclose(x0, 0.0):
         x0 = np.full(n, 1e-3)
 
-    prog = _BarrierProgram(p_quad, q_lin, cones, p_ball)
     if cones and not prog.interior(x0):
         x0 = _phase_one(prog, x0)
         if x0 is None:
@@ -316,12 +341,10 @@ def solve_bb(rf, h, target, gammas, p_max, noise,
     if not kkt_residual <= KKT_TOL:
         raise SolverError(f"stationarity residual {kkt_residual:.3e} above {KKT_TOL:.1e}")
 
-    f_bb = _unlift(x_opt, n_rf, m_users)
-    eff = rf @ f_bb
-    margins = constraint_margins(eff, h, gammas, noise, p_max)
+    sol, margins = solution(x_opt)
     if not feasible(margins):
         raise SolverError(f"returned point fails the feasibility measure: {margins}")
-    return SocpSolution(f_bb=f_bb, objective=fit_error(eff, target))
+    return sol
 
 
 def _constraint_terms(prog: _BarrierProgram, x: np.ndarray):
@@ -340,9 +363,54 @@ def _stationarity(prog: _BarrierProgram, x: np.ndarray, nus: np.ndarray,
     return float(np.linalg.norm(grad_f0))
 
 
+def _certify_incumbent(prog: _BarrierProgram, x: np.ndarray) -> Optional[np.ndarray]:
+    """The program's optimum, certified by one KKT polish from x; or None.
+
+    `_refine_with_active_set` polishes from x with the active set and
+    multipliers of `_guess_active_set`. A point whose stationarity residual
+    reaches KKT_TOL with every slack and multiplier nonnegative and every
+    rim positive is a KKT point of the convex program, hence its optimum:
+    the guess decides only whether the check passes, never what it returns.
+    """
+    guess = _guess_active_set(prog, x)
+    if guess is None:
+        return None
+    x_opt, residual = _refine_with_active_set(prog, x, *guess)
+    return x_opt if residual <= KKT_TOL else None
+
+
+def _guess_active_set(prog: _BarrierProgram, x: np.ndarray):
+    """Multipliers and active set guessed at x, or None if a multiplier is negative.
+
+    The constraints whose relative slack at x is below ACTIVE_RSLACK (u over
+    s^2 + ||y||^2 for a cone, the ball slack itself) are taken as active,
+    and their multipliers solve stationarity at x in the least-squares
+    sense. The polish must start from these: from zero multipliers its
+    stall test ends it before it gets there.
+    """
+    ub, cone_slacks = prog._slacks(x, strict=False)
+    rslack = [u / (s * s + float(y @ y)) for s, y, u in cone_slacks] + [ub]
+    active = [i for i, r in enumerate(rslack) if r < ACTIVE_RSLACK]
+    nus = np.zeros(len(rslack))
+    if active:
+        terms = _constraint_terms(prog, x)
+        cols = np.column_stack([terms[i][1] for i in active])
+        nus[active] = np.linalg.lstsq(cols, 2.0 * (prog.p_quad @ x - prog.q_lin),
+                                      rcond=None)[0]
+        if np.any(nus < 0):
+            return None
+    return nus, active
+
+
 def _refine_with_active_set(prog: _BarrierProgram, x: np.ndarray,
                             nus: np.ndarray, active: list):
-    """Damped Newton on stationarity + activity for one active-set guess."""
+    """Damped Newton on stationarity + activity for one active-set guess.
+
+    The point is taken only if every constraint slack is at least -1e-10,
+    every cone's rim value s = c^T x is positive (u = s^2 - ||y||^2 is also
+    nonnegative on the nappe s < 0, outside the cone) and every multiplier
+    is at least -1e-10; it comes with its stationarity residual.
+    """
     n = x.size
     xa, nua = x.copy(), nus[active].copy()
     prev_norm = np.inf
@@ -377,8 +445,9 @@ def _refine_with_active_set(prog: _BarrierProgram, x: np.ndarray,
     refined_nus = np.zeros_like(nus)
     refined_nus[active] = np.maximum(nua, 0.0)
     terms = _constraint_terms(prog, xa)
-    feasible = all(u >= -1e-10 for u, _, _ in terms)
-    if feasible and np.all(nua >= -1e-10):
+    inside = (all(u >= -1e-10 for u, _, _ in terms)
+              and all(float(c @ xa) > 0 for _, _, _, c, _ in prog.cones))
+    if inside and np.all(nua >= -1e-10):
         return xa, _stationarity(prog, xa, refined_nus, terms)
     return None, np.inf
 
